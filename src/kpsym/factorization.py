@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .loopfn import LoopFn
-from .symbol import Symbol, TruncParams, compose
+from .symbol import Symbol, TruncParams, compose, conj
 from .tseries import TMono, TSeries, conj_t, ddt, tcommutator, texp, tpow
 
 __all__ = [
@@ -136,8 +136,6 @@ def kp_solve(S0: Symbol, params: TruncParams, time_weights=None, xi_scale: float
 
 def conj_from(S0: Symbol, params: TruncParams, xi_scale: float = 1.0) -> Symbol:
     """Base operator S0 o (xi_scale . xi) o S0^{-1}."""
-    from .symbol import conj
-
     return conj(S0, Symbol.xi(params, 1, xi_scale))
 
 

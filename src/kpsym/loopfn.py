@@ -59,7 +59,7 @@ class LoopFn:
     noise that the derivative factors (im)^k would then amplify.
     """
 
-    __slots__ = ("d", "M", "c", "real", "mmax")
+    __slots__ = ("d", "M", "c", "mmax")
 
     def __init__(self, d: int, M: int, c: np.ndarray | None = None, real: bool = False,
                  mmax: int | None = None):
@@ -82,7 +82,6 @@ class LoopFn:
             mmax = self._measure_support()
         self.mmax = min(int(mmax), M)
         self._mask()
-        self.real = real
         if real:
             self._check_real()
 
@@ -151,12 +150,10 @@ class LoopFn:
             c[m + M] = a
             c[-m + M] = np.conj(a)
         c[M] = amp * rng.standard_normal((d, d)) * np.eye(d)
-        f = cls(d, M, c, mmax=mm)
-        f.real = d == 1
-        return f
+        return cls(d, M, c, mmax=mm)
 
     def copy(self) -> "LoopFn":
-        return LoopFn(self.d, self.M, self.c, real=False, mmax=self.mmax)
+        return LoopFn(self.d, self.M, self.c, mmax=self.mmax)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -168,20 +165,14 @@ class LoopFn:
 
     def __add__(self, other: "LoopFn") -> "LoopFn":
         self._compatible(other)
-        out = LoopFn(self.d, self.M, self.c + other.c, mmax=max(self.mmax, other.mmax))
-        out.real = self.real and other.real
-        return out
+        return LoopFn(self.d, self.M, self.c + other.c, mmax=max(self.mmax, other.mmax))
 
     def __sub__(self, other: "LoopFn") -> "LoopFn":
         self._compatible(other)
-        out = LoopFn(self.d, self.M, self.c - other.c, mmax=max(self.mmax, other.mmax))
-        out.real = self.real and other.real
-        return out
+        return LoopFn(self.d, self.M, self.c - other.c, mmax=max(self.mmax, other.mmax))
 
     def __neg__(self) -> "LoopFn":
-        out = LoopFn(self.d, self.M, -self.c, mmax=self.mmax)
-        out.real = self.real
-        return out
+        return LoopFn(self.d, self.M, -self.c, mmax=self.mmax)
 
     def __mul__(self, other):
         if isinstance(other, LoopFn):
@@ -191,13 +182,8 @@ class LoopFn:
             P = grid_size(self.M)
             va = to_grid(self.c, self.M, P)
             vb = to_grid(other.c, other.M, P)
-            out = LoopFn(
-                self.d, self.M, from_grid(va @ vb, self.M, P), mmax=self.mmax + other.mmax
-            )
-            out.real = self.real and other.real
-            return out
-        out = LoopFn(self.d, self.M, self.c * other, mmax=self.mmax)
-        return out
+            return LoopFn(self.d, self.M, from_grid(va @ vb, self.M, P), mmax=self.mmax + other.mmax)
+        return LoopFn(self.d, self.M, self.c * other, mmax=self.mmax)
 
     def _mul_direct(self, other: "LoopFn") -> "LoopFn":
         # extended precision has no FFT support; convolve mode by mode
@@ -211,9 +197,7 @@ class LoopFn:
             out[lo + p + M : hi + p + M + 1] += np.matmul(
                 np.broadcast_to(self.c[p + M], (hi - lo + 1, d, d)), other.c[lo + M : hi + M + 1]
             )
-        res = LoopFn(d, M, out, mmax=sa + sb)
-        res.real = self.real and other.real
-        return res
+        return LoopFn(d, M, out, mmax=sa + sb)
 
     def __rmul__(self, other):
         if isinstance(other, LoopFn):

@@ -15,6 +15,11 @@ sigma_n(x, -xi) = (-1)^n sigma_n(x, xi) automatic.
 Orders below the working floor F - g are dropped everywhere; algebraic
 identities are only claimed on orders >= F.  The guard band g keeps the
 reported band exact through the compositions used by the solvers.
+
+Every composition, for any matrix size d and in both precisions, runs
+through one kernel: a direct block-Toeplitz convolution of Fourier modes
+(`_compose`).  The collocation grid is used only to invert order-0
+coefficients pointwise.
 """
 
 from __future__ import annotations
@@ -247,6 +252,10 @@ def _is_plain_identity(A: Symbol) -> bool:
     return bool(np.array_equal(c, ident))
 
 
+def _live_orders(A: Symbol) -> list:
+    return [n for n in sorted(A.a) if not A.a[n].is_zero()]
+
+
 def compose(A: Symbol, B: Symbol) -> Symbol:
     """Leibniz composition, truncated below the working floor.
 
@@ -254,6 +263,8 @@ def compose(A: Symbol, B: Symbol) -> Symbol:
     n(n-1)...(n-k+1) of the left order, and differentiates the right
     coefficient k times.  The k sum stops once the output order n + m - k
     falls below the floor, so it is finite even for negative left orders.
+    Every matrix size d runs through the same direct block-Toeplitz mode
+    convolution (see `_compose`).
     """
     A._compatible(B)
     params = A.params
@@ -262,27 +273,29 @@ def compose(A: Symbol, B: Symbol) -> Symbol:
     if _is_plain_identity(B):
         return A.copy()
 
-    a_orders = [n for n in sorted(A.a) if not A.a[n].is_zero()]
-    b_orders = [m for m in sorted(B.a) if not B.a[m].is_zero()]
+    a_orders, b_orders = _live_orders(A), _live_orders(B)
     if not a_orders or not b_orders:
         return Symbol.zero(params)
-    if params.d == 1:
-        return _compose_scalar(A, B, a_orders, b_orders)
-    return _compose_matrix(A, B, a_orders, b_orders)
+    return _compose(A, B, a_orders, b_orders)
 
 
-def _compose_scalar(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> Symbol:
-    """d = 1 path: direct (Toeplitz) mode convolutions.
+def _compose(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> Symbol:
+    """Leibniz terms k >= kmin of A o B by direct (block-Toeplitz) mode convolution.
 
-    Convolving directly keeps rounding noise local per output mode; an FFT
-    round-trip would smear each row's largest coefficient across the whole
-    band, and the (im)^k derivative factors of later compositions amplify
-    exactly that high-mode junk.  In wide mode everything runs in extended
-    precision with exact integer falling factorials.
+    Each right coefficient b_m is stored as d rows, one per column j, of
+    length (2M+1)d laid out as (mode p, row k).  Right-multiplying that stack
+    by T_n[(p, k), (q, i)] = a_n[q - p][i, k] gives the modes of the
+    pointwise product a_n b_m, truncated to |q| <= M, with the matrix order
+    kept.  Convolving directly keeps rounding noise local per output mode; an
+    FFT round-trip would smear each row's largest coefficient across the
+    whole band, and the (im)^k derivative factors of later compositions
+    amplify exactly that high-mode junk.  In wide mode (d = 1 only) the
+    convolution runs row by row in extended precision with exact integer
+    falling factorials.
     """
     params = A.params
     floor = params.floor
-    M = params.M
+    d, M = params.d, params.M
     L = 2 * M + 1
     fb, nb = b_orders[0], b_orders[-1]
     na = a_orders[-1]
@@ -293,24 +306,26 @@ def _compose_scalar(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> 
     wide = params.wide
     dt = np.clongdouble if wide else complex
     nB = nb - fb + 1
-    b_modes = np.zeros((nB, L), dtype=dt)
+    b_modes = np.zeros((nB, d, L, d), dtype=dt)  # (order, column j, mode p, row k)
     sb = np.zeros(nB, dtype=int)
     for m in b_orders:
-        b_modes[m - fb] = B.a[m].c[:, 0, 0]
+        b_modes[m - fb] = B.a[m].c.transpose(2, 0, 1)
         sb[m - fb] = B.a[m].mmax
     modes = np.arange(-M, M + 1).astype(dt)
     dpow = (1j * modes) ** np.arange(kmax + 1)[:, None]  # (k, mode)
-    bk = b_modes[None, :, :] * dpow[:, None, :]
+    bk = (b_modes[None] * dpow[:, None, None, :, None]).reshape(kmax + 1, nB * d, L * d)
 
-    # T_n[p, q] = a_n[q - p]: right-multiplying a row stack by T_n convolves
-    # each row with a_n, truncated to |q| <= M.
-    shift_idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) + 2 * M
+    # T_n[(p, k), (q, i)] = a_n[q - p][i, k] = apad[t_idx], where apad holds
+    # the flattened modes of a_n padded by 2M zero modes on each side
+    shift = (np.arange(L)[None, :] - np.arange(L)[:, None]) + 2 * M  # [p, q]
+    ij = np.arange(d)
+    t_idx = ((shift[:, None, :, None] * d + ij) * d + ij[:, None, None]).reshape(L * d, L * d)
 
     q_lo, q_hi = floor, na + nb
-    out = np.zeros((q_hi - q_lo + 1, L), dtype=dt)
+    out = np.zeros((q_hi - q_lo + 1, d * L * d), dtype=dt)
     support = np.full(q_hi - q_lo + 1, -1, dtype=int)
     eps = params.deform
-    apad = np.zeros(4 * M + 1, dtype=dt)
+    apad = np.zeros((4 * M + 1) * d * d, dtype=dt)
     for n in a_orders:
         fn = A.a[n]
         kcap = n + nb - floor
@@ -335,8 +350,8 @@ def _compose_scalar(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> 
                 w = np.clongdouble(fall) * np.clongdouble(eps) ** k / np.clongdouble(factorial(k))
             else:
                 w = fall * eps**k / factorial(k)
-            blocks.append(bk[k, m_lo - fb :])
-            weights.append(np.full(nb - m_lo + 1, w, dtype=dt))
+            blocks.append(bk[k, (m_lo - fb) * d :])
+            weights.append(np.full((nb - m_lo + 1) * d, w, dtype=dt))
             targets.append(np.arange(n - k + m_lo - q_lo, n - k + nb - q_lo + 1))
             rows = slice(n - k + m_lo - q_lo, n - k + nb - q_lo + 1)
             support[rows] = np.maximum(support[rows], fn.mmax + sb[m_lo - fb :])
@@ -344,82 +359,24 @@ def _compose_scalar(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> 
             continue
         stack = np.concatenate(blocks)
         if wide:
+            # no BLAS in extended precision: a row loop of np.convolve over
+            # the support of a_n beats a longdouble matmul
             s = fn.mmax
             ker = fn.c[M - s : M + s + 1, 0, 0].astype(dt)
             conv = np.empty((stack.shape[0], L), dtype=dt)
             for r in range(stack.shape[0]):
                 conv[r] = np.convolve(stack[r], ker)[s : s + L]
         else:
-            apad[:] = 0.0
-            apad[M : 3 * M + 1] = fn.c[:, 0, 0]
-            conv = stack @ apad[shift_idx]
+            apad[M * d * d : (3 * M + 1) * d * d] = fn.c.ravel()
+            conv = stack @ apad[t_idx]
         conv *= np.concatenate(weights)[:, None]
-        np.add.at(out, np.concatenate(targets), conv)
+        np.add.at(out, np.concatenate(targets), conv.reshape(-1, d * L * d))
 
     terms = {}
     for q in range(q_lo, q_hi + 1):
         if support[q - q_lo] < 0:
             continue
-        terms[q] = LoopFn(1, M, out[q - q_lo][:, None, None], mmax=support[q - q_lo])
-    return Symbol(params, terms)
-
-
-def _compose_matrix(A: Symbol, B: Symbol, a_orders, b_orders) -> Symbol:
-    """d > 1 path: pointwise matrix products on a padded collocation grid."""
-    params = A.params
-    floor = params.floor
-    d, M = params.d, params.M
-    fb, nb = b_orders[0], b_orders[-1]
-    na = a_orders[-1]
-    kmax = max((n + nb - floor if n < 0 else min(n, n + nb - floor)) for n in a_orders)
-    if kmax < 0:
-        return Symbol.zero(params)
-
-    P = grid_size(M)
-    nB = nb - fb + 1
-    b_modes = np.zeros((nB, 2 * M + 1, d, d), dtype=complex)
-    for m in b_orders:
-        b_modes[m - fb] = B.a[m].c
-    dpow = (1j * np.arange(-M, M + 1)) ** np.arange(kmax + 1)[:, None]  # (k, mode)
-    b_stack = b_modes[None, :, :, :, :] * dpow[:, None, :, None, None]
-    b_grid = np.moveaxis(to_grid(np.moveaxis(b_stack, 2, 0), M, P), 0, 2)
-
-    a_grid = {n: to_grid(A.a[n].c, M, P) for n in a_orders}
-
-    sa = {n: A.a[n].mmax for n in a_orders}
-    sb = np.zeros(nB, dtype=int)
-    for m in b_orders:
-        sb[m - fb] = B.a[m].mmax
-
-    q_lo, q_hi = floor, na + nb
-    out = np.zeros((q_hi - q_lo + 1, P, d, d), dtype=complex)
-    support = np.full(q_hi - q_lo + 1, -1, dtype=int)
-    eps = params.deform
-    for n in a_orders:
-        av = a_grid[n]
-        fall = 1.0
-        kcap = n + nb - floor
-        if n >= 0:
-            kcap = min(kcap, n)
-        w = 1.0
-        for k in range(kcap + 1):
-            if k > 0:
-                fall *= n - (k - 1)
-                w = fall * eps**k / factorial(k)
-            if w == 0.0:
-                break
-            m_lo = max(fb, floor - n + k)
-            if m_lo > nb:
-                continue
-            rows = slice(n - k + m_lo - q_lo, n - k + nb - q_lo + 1)
-            out[rows] += w * (av[None, :, :, :] @ b_grid[k, m_lo - fb :])
-            support[rows] = np.maximum(support[rows], sa[n] + sb[m_lo - fb :])
-
-    terms = {}
-    for q in range(q_lo, q_hi + 1):
-        if support[q - q_lo] < 0:
-            continue
-        coeffs = from_grid(out[q - q_lo], M, P)
+        coeffs = out[q - q_lo].reshape(d, L, d).transpose(1, 2, 0)
         terms[q] = LoopFn(d, M, coeffs, mmax=support[q - q_lo])
     return Symbol(params, terms)
 
@@ -428,17 +385,14 @@ def commutator(A: Symbol, B: Symbol) -> Symbol:
     """A o B - B o A.  For scalar coefficients the k = 0 terms of the two
     products are identical pointwise products, so they are skipped rather
     than computed and cancelled; this keeps the commutator's rounding noise
-    at the scale of the k >= 1 terms."""
+    at the scale of the k >= 1 terms.  Matrix coefficients do not commute,
+    so for d > 1 every term is kept."""
     A._compatible(B)
-    if A.params.d == 1:
-        a_orders = [n for n in sorted(A.a) if not A.a[n].is_zero()]
-        b_orders = [m for m in sorted(B.a) if not B.a[m].is_zero()]
-        if not a_orders or not b_orders:
-            return Symbol.zero(A.params)
-        left = _compose_scalar(A, B, a_orders, b_orders, kmin=1)
-        right = _compose_scalar(B, A, b_orders, a_orders, kmin=1)
-        return left - right
-    return compose(A, B) - compose(B, A)
+    a_orders, b_orders = _live_orders(A), _live_orders(B)
+    if not a_orders or not b_orders:
+        return Symbol.zero(A.params)
+    kmin = 1 if A.params.d == 1 else 0
+    return _compose(A, B, a_orders, b_orders, kmin) - _compose(B, A, b_orders, a_orders, kmin)
 
 
 def split_DS(A: Symbol) -> tuple:

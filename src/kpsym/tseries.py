@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .symbol import Symbol, TruncParams, compose
+from .symbol import Symbol, TruncParams, commutator, compose
 
 __all__ = [
     "TMono",
@@ -196,8 +196,9 @@ class TSeries:
         return f"TSeries({len(self.terms)} monomials, V={self.params.V}, K={self.params.K})"
 
 
-def tmul(X: TSeries, Y: TSeries) -> TSeries:
-    """Cauchy product over monomials; coefficients compose; val > V is dropped."""
+def _cauchy(X: TSeries, Y: TSeries, product) -> TSeries:
+    """Cauchy product over monomials with coefficient product `product`;
+    val > V is dropped."""
     if X.params is not Y.params and X.params != Y.params:
         raise ValueError("series have different truncation parameters")
     params = X.params
@@ -209,11 +210,17 @@ def tmul(X: TSeries, Y: TSeries) -> TSeries:
         for my in ymonos:
             if vx + my.val > params.V:
                 continue
-            prod = compose(sx, Y.terms[my])
+            prod = product(sx, Y.terms[my])
             key = mx + my
             out.terms[key] = out.terms[key] + prod if key in out.terms else prod
+    return out
+
+
+def tmul(X: TSeries, Y: TSeries) -> TSeries:
+    """Cauchy product over monomials; coefficients compose; val > V is dropped."""
+    out = _cauchy(X, Y, compose)
     if _CHECK_GROWTH:
-        out.assert_growth(base_order=params.N)
+        out.assert_growth(base_order=X.params.N)
     return out
 
 
@@ -307,23 +314,7 @@ def tcommutator(X: TSeries, Y: TSeries) -> TSeries:
     """[X, Y] with the coefficient commutators computed term-fused (the exact
     scalar k = 0 cancellation happens per monomial pair, not after two full
     Cauchy products)."""
-    from .symbol import commutator as sym_commutator
-
-    if X.params != Y.params:
-        raise ValueError("series have different truncation parameters")
-    params = X.params
-    out = TSeries.zero(params)
-    ymonos = Y.monomials()
-    for mx in X.monomials():
-        vx = mx.val
-        sx = X.terms[mx]
-        for my in ymonos:
-            if vx + my.val > params.V:
-                continue
-            prod = sym_commutator(sx, Y.terms[my])
-            key = mx + my
-            out.terms[key] = out.terms[key] + prod if key in out.terms else prod
-    return out
+    return _cauchy(X, Y, commutator)
 
 
 def conj_t(S: TSeries, A: Symbol) -> TSeries:
@@ -333,9 +324,7 @@ def conj_t(S: TSeries, A: Symbol) -> TSeries:
     truncated algebra but never forms the large S.A products whose exact
     cancellation against A.S would otherwise dominate the rounding error.
     """
-    from .symbol import commutator as sym_commutator
-
-    lie = S.map_coeffs(lambda s: sym_commutator(s, A))
+    lie = S.map_coeffs(lambda s: commutator(s, A))
     return TSeries.constant(S.params, A) + tmul(lie, tinvert(S))
 
 

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .factorization import KPJet
-from .symbol import realize_matrix
+from .symbol import Symbol, realize_matrix
 from .tseries import TSeries, ddt, eval_t, tcommutator, tmul
 
 __all__ = [
@@ -178,6 +178,4 @@ def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int 
 
 
 def _reported(sym):
-    from .symbol import Symbol
-
     return Symbol(sym.params, {n: f for n, f in sym.a.items() if n >= sym.params.F})

@@ -5,7 +5,7 @@ see them as they complete).
 The jet pipelines run in extended precision: at this scale the operator's
 genuine coefficients near the reported floor reach 1e5..1e6, so plain double
 arithmetic bottoms out around 1e-9 absolute, right at the tolerances below
-(see notes/decisions.md at the repository root of the review bundle).
+(see the Precision section of README.md).
 """
 
 import numpy as np
@@ -230,8 +230,8 @@ def test_criterion_8_direction_t3(flow_base):
     # Honest negative result: the direction-3 flow of the truncated tower
     # diverges before t = 0.01 at dt = t/256 for every truncation depth and
     # mode filter tried, and shallow truncations change u_{-1} by O(1e-2), so
-    # the stated ratio bound cannot be met.  The analysis is recorded in the
-    # decisions ledger; this test states the criterion faithfully and fails.
+    # the stated ratio bound cannot be met.  The analysis is recorded in
+    # README.md; this test states the criterion faithfully and fails.
     L0 = flow_base
     coeffs = taylor_jet(L0, 3, 6)
     try:

@@ -218,6 +218,63 @@ def test_compose_matrix_coefficients():
     assert abs(ba[1, 1] - 1.0) < 1e-12 and abs(ba[0, 0]) < 1e-12
 
 
+PM = TruncParams(d=2, M=12, F=-6, g=4, V=2, K=3)
+P1 = TruncParams(d=1, M=12, F=-6, g=4, V=2, K=3)
+# relative to the largest reference coefficient; a transposed (swapped
+# matrix order) block layout is wrong at O(1)
+MATRIX_TOL = 100 * np.finfo(float).eps
+
+
+def entry(S, i, j):
+    """(i, j) entry of a d = 2 symbol as a d = 1 symbol."""
+    return Symbol.from_terms(P1, {n: LoopFn(1, P1.M, f.c[:, i : i + 1, j : j + 1], mmax=f.mmax) for n, f in S.a.items()})
+
+
+def entrywise_compose(A, B, i, j):
+    """(A o B)_ij = sum_k A_ik o B_kj, from d = 1 compositions."""
+    return compose(entry(A, i, 0), entry(B, 0, j)) + compose(entry(A, i, 1), entry(B, 1, j))
+
+
+def max_gap(got, i, j, ref):
+    gap = max(np.max(np.abs(got.coeff(n).c[:, i, j] - ref.coeff(n).c[:, 0, 0])) for n in set(got.a) | set(ref.a))
+    scale = max(f.sup_norm() for f in ref.a.values())
+    return gap, scale
+
+
+def test_compose_matrix_entrywise_reference():
+    # non-commuting d = 2 coefficients at positive and negative orders, so the
+    # k >= 1 Leibniz terms run with matrix order
+    rng = np.random.default_rng(3)
+    A = Symbol.from_terms(PM, {n: LoopFn.random_trig(rng, PM.M, 3, d=2) for n in (2, 1, -1, -2)})
+    B = Symbol.from_terms(PM, {n: LoopFn.random_trig(rng, PM.M, 3, d=2) for n in (1, 0, -1, -3)})
+    AB, bracket = compose(A, B), commutator(A, B)
+    for i in range(2):
+        for j in range(2):
+            ref_ab = entrywise_compose(A, B, i, j)
+            gap, scale = max_gap(AB, i, j, ref_ab)
+            assert gap <= MATRIX_TOL * scale
+            gap, scale = max_gap(bracket, i, j, ref_ab - entrywise_compose(B, A, i, j))
+            assert gap <= MATRIX_TOL * scale
+
+
+def test_compose_matrix_identity_embedding():
+    # c(x) Id in d = 2 reproduces the d = 1 result on each diagonal entry
+    rng = np.random.default_rng(4)
+    a = {n: LoopFn.random_trig(rng, P1.M, 3) for n in (1, 0, -2)}
+    b = {n: LoopFn.random_trig(rng, P1.M, 3) for n in (2, -1, -3)}
+
+    def embed(terms):
+        return Symbol.from_terms(PM, {n: LoopFn(2, PM.M, f.c * np.eye(2), mmax=f.mmax) for n, f in terms.items()})
+
+    A1, B1 = Symbol.from_terms(P1, a), Symbol.from_terms(P1, b)
+    A2, B2 = embed(a), embed(b)
+    for got, ref in ((compose(A2, B2), compose(A1, B1)), (commutator(A2, B2), commutator(A1, B1))):
+        for i in range(2):
+            gap, scale = max_gap(got, i, i, ref)
+            assert gap <= MATRIX_TOL * scale
+        assert all(np.all(f.c[:, 0, 1] == 0) and np.all(f.c[:, 1, 0] == 0) for f in got.a.values())
+
+
 def test_realize_xi_diagonal():
     R = realize_matrix(Symbol.xi(P), 8)
     modes = np.concatenate([np.arange(-8, 0), np.arange(1, 9)])
