@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .loopfn import LoopFn
-from .symbol import Symbol, TruncParams, commutator, power
+from .symbol import Symbol, TruncParams, commutator, plan_stats, power
 from .tseries import TSeries, Path as TPath, product_integral, scale_h, texp, tmul
 from .factorization import (
     conj_consistency,
@@ -208,7 +208,7 @@ def _filtered(report: Report, only: list | None):
     return report
 
 
-def cmd_factorize(cfg: RunConfig, only=None, verbose=False) -> Report:
+def cmd_factorize(cfg: RunConfig, only=None) -> Report:
     params = cfg.params()
     report = Report("factorize", cfg, cfg.seed)
     S0 = cfg.build_s0(params)
@@ -242,7 +242,7 @@ def cmd_factorize(cfg: RunConfig, only=None, verbose=False) -> Report:
     return _filtered(report, only)
 
 
-def cmd_check(cfg: RunConfig, only=None, verbose=False) -> Report:
+def cmd_check(cfg: RunConfig, only=None) -> Report:
     params = cfg.params()
     report = Report("check", cfg, cfg.seed)
     S0 = cfg.build_s0(params)
@@ -308,7 +308,7 @@ def cmd_check(cfg: RunConfig, only=None, verbose=False) -> Report:
     return _filtered(report, only)
 
 
-def cmd_flow(cfg: RunConfig, only=None, verbose=False) -> Report:
+def cmd_flow(cfg: RunConfig, only=None) -> Report:
     params = cfg.params(wide=False)
     report = Report("flow", cfg, cfg.seed)
     S0 = cfg.build_s0(params)
@@ -338,7 +338,7 @@ def cmd_flow(cfg: RunConfig, only=None, verbose=False) -> Report:
     return _filtered(report, only)
 
 
-def cmd_paper_table(cfg: RunConfig, only=None, verbose=False) -> Report:
+def cmd_paper_table(cfg: RunConfig, only=None) -> Report:
     params = cfg.params(wide=False)
     report = Report("paper-table", cfg, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -376,6 +376,13 @@ def cmd_paper_table(cfg: RunConfig, only=None, verbose=False) -> Report:
     return _filtered(report, only)
 
 
+def _kernel_summary(before: dict, after: dict) -> str:
+    """Composition work of one command: `compose` calls, compose-plan
+    cache hits and misses, and the plans held at the end."""
+    calls, hits, misses = (after[k] - before[k] for k in ("compose_calls", "plan_hits", "plan_misses"))
+    return f"compose: {calls} calls; plan cache: {hits} hits, {misses} misses, {after['plans']} plans held"
+
+
 COMMANDS = {
     "factorize": cmd_factorize,
     "check": cmd_check,
@@ -393,7 +400,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory for reports and plot data")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
         p.add_argument("--only", default=None, help="comma-separated record-name prefixes to keep")
-        p.add_argument("--verbose", action="store_true")
+        p.add_argument("--verbose", action="store_true",
+                       help="print composition counts and plan-cache use to stderr")
     args = parser.parse_args(argv)
 
     try:
@@ -403,10 +411,13 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         only = args.only.split(",") if args.only else None
-        report = COMMANDS[args.command](cfg, only=only, verbose=args.verbose)
+        before = plan_stats()
+        report = COMMANDS[args.command](cfg, only=only)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    if args.verbose:
+        print(_kernel_summary(before, plan_stats()), file=sys.stderr)
     path = report.write(cfg.out_dir)
     print(report.summary())
     print(f"report: {path}")

@@ -13,6 +13,7 @@ for the formal-vs-numeric comparison.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 from .loopfn import LoopFn
@@ -91,8 +92,6 @@ def extract_u(L, sigma0_tol: float = 1e-8) -> UPair:
         raise ValueError("leading coefficient is not 1")
     s0 = L.coeff(0).norm()
     if s0 > sigma0_tol:
-        import warnings
-
         warnings.warn(f"order-0 part has norm {s0:.3e}; extraction assumes it vanishes")
     return UPair(u1=L.coeff(-1), u2=L.coeff(-2))
 

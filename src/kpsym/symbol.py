@@ -20,16 +20,32 @@ Every composition, for any matrix size d and in both precisions, runs
 through one kernel: a direct block-Toeplitz convolution of Fourier modes
 (`_compose`).  The collocation grid is used only to invert order-0
 coefficients pointwise.
+
+The kernel's index work is cached as a plan (`_Plan`) per signature: d, M,
+floor, deform factor, precision, lowest Leibniz order, and the orders and
+mode supports of both operands.  Narrow and wide mode build and use plans
+the same way; only the inner convolution differs.  Plans add their blocks
+of rows in the order of the Leibniz sum, which keeps every result
+bit-identical to a row-by-row scatter.  The 32 most recently used plans are
+kept; `plan_stats` reports the cache's use.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .loopfn import LoopFn, from_grid, grid_size, to_grid
+
+# Machine epsilon of np.longdouble.  Wide mode needs a genuinely extended
+# type (x86's 80-bit format gives 1.08e-19); where longdouble is plain
+# double it would silently run at the narrow floor, so it is refused.
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+_WIDE_EPS_MAX = 1e-18
 
 __all__ = [
     "TruncParams",
@@ -42,6 +58,8 @@ __all__ = [
     "conj",
     "realize_matrix",
     "hs_inner",
+    "plan_stats",
+    "clear_plans",
 ]
 
 
@@ -74,6 +92,11 @@ class TruncParams:
             raise ValueError("deform factor must be nonzero")
         if self.wide and self.d != 1:
             raise ValueError("extended-precision mode is implemented for d = 1 only")
+        if self.wide and _LONGDOUBLE_EPS > _WIDE_EPS_MAX:
+            raise ValueError(
+                f"extended-precision mode needs np.longdouble with eps <= {_WIDE_EPS_MAX:g}; "
+                f"this platform's has eps = {_LONGDOUBLE_EPS:.3g}"
+            )
 
     @property
     def floor(self) -> int:
@@ -267,6 +290,7 @@ def compose(A: Symbol, B: Symbol) -> Symbol:
     convolution (see `_compose`).
     """
     A._compatible(B)
+    _PLANS.compose_calls += 1
     params = A.params
     if _is_plain_identity(A):
         return B.copy()
@@ -292,76 +316,42 @@ def _compose(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> Symbol:
     amplify exactly that high-mode junk.  In wide mode (d = 1 only) the
     convolution runs row by row in extended precision with exact integer
     falling factorials.
+
+    Everything that depends only on the orders and supports of A and B comes
+    from a cached `_Plan`; per call this fills the derivative stack, runs one
+    gather and one product per left order, and adds each (n, k) block of
+    rows into its output orders as a slice.
     """
     params = A.params
-    floor = params.floor
-    d, M = params.d, params.M
-    L = 2 * M + 1
-    fb, nb = b_orders[0], b_orders[-1]
-    na = a_orders[-1]
-    kmax = max((n + nb - floor if n < 0 else min(n, n + nb - floor)) for n in a_orders)
-    if kmax < 0:
+    d, M, wide = params.d, params.M, params.wide
+    key = (
+        d, M, params.floor, params.deform, wide, kmin, tuple(a_orders), tuple(b_orders),
+        tuple(A.a[n].mmax for n in a_orders), tuple(B.a[m].mmax for m in b_orders),
+    )
+    plan = _PLANS.get(key)
+    if plan is None:
         return Symbol.zero(params)
 
-    wide = params.wide
+    L = 2 * M + 1
     dt = np.clongdouble if wide else complex
-    nB = nb - fb + 1
-    b_modes = np.zeros((nB, d, L, d), dtype=dt)  # (order, column j, mode p, row k)
-    sb = np.zeros(nB, dtype=int)
+    fb = b_orders[0]
+    b_modes = np.zeros((b_orders[-1] - fb + 1, d, L, d), dtype=dt)  # (order, column j, mode p, row k)
     for m in b_orders:
         b_modes[m - fb] = B.a[m].c.transpose(2, 0, 1)
-        sb[m - fb] = B.a[m].mmax
     modes = np.arange(-M, M + 1).astype(dt)
-    dpow = (1j * modes) ** np.arange(kmax + 1)[:, None]  # (k, mode)
-    bk = (b_modes[None] * dpow[:, None, None, :, None]).reshape(kmax + 1, nB * d, L * d)
+    dpow = (1j * modes) ** np.arange(plan.kmax + 1)[:, None]  # (k, mode)
+    bk = (b_modes[None] * dpow[:, None, None, :, None]).reshape(-1, L * d)
 
-    # T_n[(p, k), (q, i)] = a_n[q - p][i, k] = apad[t_idx], where apad holds
-    # the flattened modes of a_n padded by 2M zero modes on each side
-    shift = (np.arange(L)[None, :] - np.arange(L)[:, None]) + 2 * M  # [p, q]
-    ij = np.arange(d)
-    t_idx = ((shift[:, None, :, None] * d + ij) * d + ij[:, None, None]).reshape(L * d, L * d)
-
-    q_lo, q_hi = floor, na + nb
-    out = np.zeros((q_hi - q_lo + 1, d * L * d), dtype=dt)
-    support = np.full(q_hi - q_lo + 1, -1, dtype=int)
-    eps = params.deform
-    apad = np.zeros((4 * M + 1) * d * d, dtype=dt)
-    for n in a_orders:
+    out = np.zeros((plan.nq, d * L * d), dtype=dt)
+    if not wide:
+        t_idx = _toeplitz_index(d, M)
+        apad = np.zeros((4 * M + 1) * d * d, dtype=dt)
+    for n, s, rows, weights, blocks in plan.steps:
+        stack = bk[rows]
         fn = A.a[n]
-        kcap = n + nb - floor
-        if n >= 0:
-            kcap = min(kcap, n)
-        if kcap < 0:
-            continue
-        # gather the valid (k, m) rows, then convolve them all with a_n
-        blocks, weights, targets = [], [], []
-        fall = 1
-        for k in range(kcap + 1):
-            if k > 0:
-                fall *= n - (k - 1)
-            if fall == 0:
-                break
-            if k < kmin:
-                continue
-            m_lo = max(fb, floor - n + k)
-            if m_lo > nb:
-                continue
-            if wide:
-                w = np.clongdouble(fall) * np.clongdouble(eps) ** k / np.clongdouble(factorial(k))
-            else:
-                w = fall * eps**k / factorial(k)
-            blocks.append(bk[k, (m_lo - fb) * d :])
-            weights.append(np.full((nb - m_lo + 1) * d, w, dtype=dt))
-            targets.append(np.arange(n - k + m_lo - q_lo, n - k + nb - q_lo + 1))
-            rows = slice(n - k + m_lo - q_lo, n - k + nb - q_lo + 1)
-            support[rows] = np.maximum(support[rows], fn.mmax + sb[m_lo - fb :])
-        if not blocks:
-            continue
-        stack = np.concatenate(blocks)
         if wide:
             # no BLAS in extended precision: a row loop of np.convolve over
             # the support of a_n beats a longdouble matmul
-            s = fn.mmax
             ker = fn.c[M - s : M + s + 1, 0, 0].astype(dt)
             conv = np.empty((stack.shape[0], L), dtype=dt)
             for r in range(stack.shape[0]):
@@ -369,16 +359,143 @@ def _compose(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> Symbol:
         else:
             apad[M * d * d : (3 * M + 1) * d * d] = fn.c.ravel()
             conv = stack @ apad[t_idx]
-        conv *= np.concatenate(weights)[:, None]
-        np.add.at(out, np.concatenate(targets), conv.reshape(-1, d * L * d))
+        conv *= weights[:, None]
+        conv = conv.reshape(-1, d * L * d)
+        for t0, t1, r0, r1 in blocks.tolist():
+            out[t0:t1] += conv[r0:r1]
 
     terms = {}
-    for q in range(q_lo, q_hi + 1):
-        if support[q - q_lo] < 0:
-            continue
-        coeffs = out[q - q_lo].reshape(d, L, d).transpose(1, 2, 0)
-        terms[q] = LoopFn(d, M, coeffs, mmax=support[q - q_lo])
+    for q, support in plan.terms.tolist():
+        coeffs = out[q - plan.q_lo].reshape(d, L, d).transpose(1, 2, 0)
+        terms[q] = LoopFn(d, M, coeffs, mmax=support)
     return Symbol(params, terms)
+
+
+class _Plan:
+    """What `_compose` needs beyond the coefficient values, for one signature
+    (d, M, floor, deform, wide, kmin, left and right orders and supports).
+
+    - kmax: the highest Leibniz order k taken; q_lo, nq: the output order
+      range floor .. q_lo + nq - 1.
+    - steps: one (n, mmax of a_n, rows, weights, blocks) per left order n
+      with a term in range.  `rows` indexes the flattened derivative stack
+      (k, right order m, column j) in (k, m) order; `weights` holds the real
+      factor eps^k/k! n(n-1)...(n-k+1) of each row; `blocks` holds one
+      row (t0, t1, r0, r1) per k: row groups r0:r1 add into output orders
+      q_lo + t0 .. q_lo + t1 - 1, a row group being the d rows of one m.
+    - terms: rows (output order, mode support) of every output order reached.
+
+    Blocks are added in the (n, k) order of the Leibniz sum.  Within a block
+    the output orders are distinct, so each output coefficient receives its
+    terms in the same order as a one-row-at-a-time scatter would give it.
+    Index arrays are int32 and weights real: the 32 cached plans of a
+    desk-scale flow take about 0.8 MB.
+    """
+
+    __slots__ = ("kmax", "q_lo", "nq", "steps", "terms")
+
+    def __init__(self, d, M, floor, eps, wide, kmin, a_orders, b_orders, a_sup, b_sup):
+        fb, nb = b_orders[0], b_orders[-1]
+        nB = nb - fb + 1
+        self.kmax = max((n + nb - floor if n < 0 else min(n, n + nb - floor)) for n in a_orders)
+        self.q_lo = floor
+        self.nq = max(a_orders[-1] + nb - floor + 1, 0)
+        sb = np.zeros(nB, dtype=int)
+        sb[np.subtract(b_orders, fb)] = b_sup
+        support = np.full(self.nq, -1, dtype=int)
+        self.steps = []
+        for n, s in zip(a_orders, a_sup):
+            kcap = n + nb - floor
+            if n >= 0:
+                kcap = min(kcap, n)
+            rows, weights, blocks = [], [], []
+            r0, fall = 0, 1
+            for k in range(kcap + 1):
+                if k > 0:
+                    fall *= n - (k - 1)
+                if fall == 0:
+                    break
+                if k < kmin:
+                    continue
+                m_lo = max(fb, floor - n + k)
+                if m_lo > nb:
+                    continue
+                if wide:
+                    w = (np.clongdouble(fall) * np.clongdouble(eps) ** k / np.clongdouble(factorial(k))).real
+                else:
+                    w = fall * eps**k / factorial(k)
+                count = nb - m_lo + 1
+                rows.append(np.arange((k * nB + m_lo - fb) * d, (k + 1) * nB * d, dtype=np.int32))
+                weights.append(np.full(count * d, w, dtype=np.longdouble if wide else float))
+                t0 = n - k + m_lo - floor
+                blocks.append((t0, t0 + count, r0, r0 + count))
+                r0 += count
+                support[t0 : t0 + count] = np.maximum(support[t0 : t0 + count], s + sb[m_lo - fb :])
+            if blocks:
+                self.steps.append((n, s, np.concatenate(rows), np.concatenate(weights), np.array(blocks, dtype=np.int32)))
+        live = np.flatnonzero(support >= 0)
+        self.terms = np.stack([live + floor, support[live]], axis=1).astype(np.int32)
+
+
+# Plans kept at once.  A flow right-hand side reuses a handful of signatures
+# thousands of times; the verify phase of a Taylor jet alone makes 63.
+_PLAN_CAPACITY = 32
+
+
+class _PlanCache:
+    """Compose plans by signature, at most _PLAN_CAPACITY of them (the least
+    recently used goes first), with counters for `plan_stats`."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.plans = {}
+        self.compose_calls = self.hits = self.misses = 0
+
+    def get(self, key) -> _Plan | None:
+        """The plan of a `_compose` key; None when no Leibniz term is in range."""
+        try:
+            plan = self.plans.pop(key)
+            self.hits += 1
+        except KeyError:
+            self.misses += 1
+            plan = _Plan(*key)
+            if len(self.plans) >= _PLAN_CAPACITY:
+                del self.plans[next(iter(self.plans))]
+        self.plans[key] = plan
+        return plan if plan.kmax >= 0 else None
+
+
+_PLANS = _PlanCache()
+
+
+def plan_stats() -> dict:
+    """Calls of `compose`, compose-plan cache hits and misses since the last
+    `clear_plans`, and the number of plans held."""
+    return {
+        "compose_calls": _PLANS.compose_calls,
+        "plan_hits": _PLANS.hits,
+        "plan_misses": _PLANS.misses,
+        "plans": len(_PLANS.plans),
+    }
+
+
+def clear_plans() -> None:
+    """Drop every cached compose plan and zero the counters of `plan_stats`."""
+    _PLANS.clear()
+
+
+@lru_cache(maxsize=8)
+def _toeplitz_index(d: int, M: int) -> np.ndarray:
+    """Index of T[(p, k), (q, i)] = a[q - p][i, k] into apad, the flattened
+    modes of a d x d coefficient a padded by 2M zero modes on each side."""
+    L = 2 * M + 1
+    shift = (np.arange(L)[None, :] - np.arange(L)[:, None]) + 2 * M  # [p, q]
+    ij = np.arange(d)
+    t_idx = ((shift[:, None, :, None] * d + ij) * d + ij[:, None, None]).reshape(L * d, L * d)
+    t_idx.flags.writeable = False
+    return t_idx
 
 
 def commutator(A: Symbol, B: Symbol) -> Symbol:
@@ -511,8 +628,6 @@ def hs_inner(A: Symbol, B: Symbol, Mr: int) -> complex:
     for name, X in (("left", A), ("right", B)):
         top = X.order
         if top is not None and top > -1:
-            import warnings
-
             warnings.warn(f"hs_inner: {name} symbol has order {top} > -1; the pairing is cutoff-dominated")
     Ra = realize_matrix(A, Mr)
     Rb = realize_matrix(B, Mr)

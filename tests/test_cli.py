@@ -1,6 +1,7 @@
 """Configuration loading, report determinism, and the pipeline commands."""
 
 import json
+import re
 
 import pytest
 
@@ -141,6 +142,25 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"K": 1}')
     assert main(["check", "--config", str(bad)]) == 2
+
+
+def test_verbose_reports_kernel_use(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY))
+    args = ["paper-table", "--config", str(cfg_path), "--out", str(tmp_path)]
+    report = tmp_path / "paper_table_report.json"
+    assert main(args) == 0
+    quiet, quiet_bytes = capsys.readouterr(), report.read_bytes()
+    assert main(args + ["--verbose"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and report.read_bytes() == quiet_bytes
+    assert quiet.err == ""
+    # L^2 and L^3 take 3 compose calls; the bracket's two products are not compose calls
+    m = re.fullmatch(r"compose: 3 calls; plan cache: (\d+) hits, (\d+) misses, (\d+) plans held\n", loud.err)
+    assert m, loud.err
+    hits, misses, held = map(int, m.groups())
+    # the first run left every plan of the second in the cache
+    assert (hits, misses) == (5, 0) and held >= 4
 
 
 def test_flow_command_writes_tables(tmp_path):

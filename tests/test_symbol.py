@@ -26,6 +26,8 @@ from kpsym import (
     realize_matrix,
     split_DS,
 )
+from kpsym import symbol
+from kpsym.symbol import clear_plans, plan_stats
 
 P = TruncParams(M=16, F=-6, g=6, V=4, K=3)
 M = P.M
@@ -342,3 +344,63 @@ def test_odd_class_parity():
     lhs = A.eval_sym(x, -xi)
     rhs = sum((-1.0) ** n * A.coeff(n).eval_at(x) * xi**n for n in A.orders())
     assert np.allclose(lhs, rhs)
+
+
+def test_wide_refused_without_extended_longdouble(monkeypatch):
+    # where longdouble is plain double, wide mode would silently run at the
+    # narrow floor; it must refuse instead
+    monkeypatch.setattr(symbol, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+    with pytest.raises(ValueError, match="longdouble"):
+        TruncParams(wide=True)
+    with pytest.raises(ValueError, match="longdouble"):
+        P.with_wide(True)
+    TruncParams(wide=False)
+
+
+def same_symbol(S, T):
+    return S.a.keys() == T.a.keys() and all(
+        S.a[n].mmax == T.a[n].mmax and S.a[n].c.dtype == T.a[n].c.dtype and np.array_equal(S.a[n].c, T.a[n].c)
+        for n in S.a
+    )
+
+
+def random_pair(rng, p, d=1):
+    A = Symbol.from_terms(p, {n: LoopFn.random_trig(rng, p.M, 3, d=d) for n in (2, 0, -1, -3)})
+    B = Symbol.from_terms(p, {n: LoopFn.random_trig(rng, p.M, 2, d=d) for n in (1, -1, -2)})
+    return (A.widen(), B.widen()) if p.wide else (A, B)
+
+
+@pytest.mark.parametrize("kind", ["narrow", "wide", "d2"])
+def test_plan_cache_warm_equals_cold(kind):
+    p = {"narrow": P, "wide": P.with_wide(True), "d2": PM}[kind]
+    A, B = random_pair(np.random.default_rng(31), p, p.d)
+    calls = (lambda: compose(A, B), lambda: compose(B, A), lambda: commutator(A, B))
+    clear_plans()
+    cold = [f() for f in calls]
+    misses = plan_stats()["plan_misses"]
+    warm = [f() for f in calls]
+    stats = plan_stats()
+    assert stats["plan_misses"] == misses and stats["plan_hits"] >= 4
+    assert all(same_symbol(w, c) for w, c in zip(warm, cold))
+
+
+def test_plan_cache_key_is_complete():
+    # pairs sharing every other part of the signature: each result must not
+    # depend on which one ran first
+    rng = np.random.default_rng(32)
+    A, B = random_pair(rng, P)
+    deformed = [Symbol.from_terms(P.with_deform(0.5), X.a) for X in (A, B)]
+    b = B.a[-1]
+    B_wider = Symbol.from_terms(P, {**B.a, -1: LoopFn(1, M, b.c, mmax=b.mmax + 2)})
+    pairs = [
+        (lambda: compose(A, B), lambda: compose(*deformed)),
+        (lambda: compose(A, B), lambda: compose(A, B_wider)),
+        (lambda: compose(A, B), lambda: commutator(A, B)),
+    ]
+    for first, second in pairs:
+        for f, g in ((first, second), (second, first)):
+            clear_plans()
+            alone = g()
+            clear_plans()
+            f()
+            assert same_symbol(g(), alone)
