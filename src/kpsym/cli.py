@@ -13,34 +13,20 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
+from .criteria import JetCriteria, flow_commute, flow_jet_ratio, product_integral_rates, select, symbol_table
+from .factorization import conj_from, kp_solve
 from .loopfn import LoopFn
-from .symbol import Symbol, TruncParams, commutator, plan_stats, power
-from .tseries import TSeries, Path as TPath, product_integral, scale_h, texp, tmul
-from .factorization import (
-    conj_consistency,
-    conj_from,
-    ds_rhs_gap,
-    kp_residual,
-    kp_solve,
-)
-from .zerocurv import build_Z, ym_value, zs_residual
-from .kp2 import FlowBlowup, check_t12, check_t13, check_t23, equiv_t23, eval_taylor
-from .kp2 import extract_u, flow_delinearized, flows_commute, taylor_jet
+from .symbol import Symbol, TruncParams, plan_stats
+from .tseries import TSeries
 
 ANCHORS = {
-    "symbol-table",
-    "factorization",
-    "kp-residual",
-    "zero-curvature",
-    "yang-mills",
-    "flow",
-    "scaling",
+    "symbol-table", "factorization", "kp-residual", "zero-curvature", "yang-mills", "flow", "scaling",
     "product-integral",
-    "plumbing",
 }
 
 
@@ -62,7 +48,6 @@ class RunConfig:
     cube_k: float = 0.05
     cube_n: int = 2
     flow_t_end: float = 0.01
-    flow_dt: float = 0.01 / 256
     wide: bool = True
     s0: list = field(default_factory=lambda: [[-1, {"1": [0.5, 0.0], "-1": [0.5, 0.0]}]])
     u_table: list | None = None  # optional [u1, u2] mode tables for paper-table
@@ -91,27 +76,26 @@ class RunConfig:
         return cfg
 
     def validate(self, origin: str = "<config>") -> None:
-        if self.d < 1:
-            raise ConfigError(f"{origin}: d must be >= 1")
-        if self.F > -1 or self.N < 1:
-            raise ConfigError(f"{origin}: need F <= -1 <= 1 <= N")
-        if self.V < 1:
-            raise ConfigError(f"{origin}: V must be >= 1")
+        """Reject what the commands could not run, building its parts as they do."""
+        try:
+            params = self.params()
+            for order, _ in self.s0:
+                if not isinstance(order, int) or order > -1:
+                    raise ValueError(f"s0 orders must be integers <= -1, got {order!r}")
+            self.build_s0(params)
+            if self.u_table is not None:
+                if len(self.u_table) != 2:
+                    raise ValueError("u_table holds two mode tables, for u1 and u2")
+                for table in self.u_table:
+                    _from_table(params, table)
+        except (AttributeError, IndexError, TypeError, ValueError) as e:
+            raise ConfigError(f"{origin}: {e}")
         if self.K < 3:
             raise ConfigError(f"{origin}: K must be >= 3 for the KP-II pipelines")
         if self.Mr > self.M:
             raise ConfigError(f"{origin}: Mr must not exceed M")
-        if self.flow_dt <= 0 or self.flow_t_end <= 0:
-            raise ConfigError(f"{origin}: flow times must be positive")
-        for entry in self.s0:
-            if len(entry) != 2:
-                raise ConfigError(f"{origin}: s0 entries are [order, coefficient-table] pairs")
-            order = entry[0]
-            if not isinstance(order, int) or order > -1:
-                raise ConfigError(f"{origin}: s0 orders must be integers <= -1, got {order!r}")
-            for mode in entry[1]:
-                if abs(int(mode)) > self.M:
-                    raise ConfigError(f"{origin}: s0 mode {mode} outside cutoff M={self.M}")
+        if self.flow_t_end <= 0:
+            raise ConfigError(f"{origin}: flow_t_end must be positive")
 
     def params(self, wide: bool | None = None) -> TruncParams:
         return TruncParams(
@@ -122,16 +106,16 @@ class RunConfig:
     def build_s0(self, params: TruncParams) -> Symbol:
         terms = {0: LoopFn.const(params.d, params.M, 1.0)}
         for order, table in self.s0:
-            entries = {}
-            for mode, val in table.items():
-                entries[int(mode)] = complex(val[0], val[1])
-            terms[order] = terms.get(order, LoopFn.zero(params.d, params.M)) + LoopFn.from_modes(
-                params.d, params.M, entries
-            )
+            terms[order] = terms.get(order, LoopFn.zero(params.d, params.M)) + _from_table(params, table)
         return Symbol(params, terms)
 
     def canonical_dict(self) -> dict:
         return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
+
+
+def _from_table(params: TruncParams, table: dict) -> LoopFn:
+    """The function of a {mode: [re, im]} table."""
+    return LoopFn.from_modes(params.d, params.M, {int(m): complex(v[0], v[1]) for m, v in table.items()})
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -146,7 +130,7 @@ class Report:
     seed: int
     records: list = field(default_factory=list)
 
-    def add(self, name: str, anchor: str, value: float, tol: float, passed: bool | None = None) -> bool:
+    def add(self, name: str, anchor: str, value: float, tol: float, passed: bool | None = None) -> None:
         if anchor not in ANCHORS:
             raise ValueError(f"unknown anchor tag '{anchor}'")
         if passed is None:
@@ -161,7 +145,6 @@ class Report:
                 "config_hash": config_hash(self.config),
             }
         )
-        return passed
 
     @property
     def ok(self) -> bool:
@@ -201,179 +184,74 @@ def _version() -> str:
     return __version__
 
 
-def _filtered(report: Report, only: list | None):
-    if not only:
-        return report
-    report.records = [r for r in report.records if any(r["name"].startswith(p) for p in only)]
+def _report(command: str, cfg: RunConfig, groups: list, only) -> Report:
+    report = Report(command, cfg, cfg.seed)
+    for record in select(groups, only):
+        report.add(*record)
     return report
 
 
 def cmd_factorize(cfg: RunConfig, only=None) -> Report:
     params = cfg.params()
-    report = Report("factorize", cfg, cfg.seed)
-    S0 = cfg.build_s0(params)
-    jet = kp_solve(S0, params)
-    su_y = (tmul(jet.S, jet.U) - jet.Y).norm()
-    report.add("factorize/su-equals-y", "factorization", su_y, 1e-10)
-    neg = max(
-        (f.norm() for sym in jet.Y.terms.values() for n, f in sym.a.items() if n < 0),
-        default=0.0,
-    )
-    report.add("factorize/y-strictly-differential", "factorization", neg, 0.0, passed=neg == 0.0)
-    try:
-        jet.S.assert_growth(0)
-        jet.Y.assert_growth(0)
-        jet.L.assert_growth(1)
-        report.add("factorize/growth-condition", "factorization", 0.0, 0.0, passed=True)
-    except AssertionError:
-        report.add("factorize/growth-condition", "factorization", 1.0, 0.0, passed=False)
-
-    # smoothness probe: response to dressing perturbations of two sizes
-    ratios = []
-    for eps_size in (1e-3, 1e-4):
-        bump = Symbol(params, {-1: LoopFn.cos(params.M, 1, eps_size, d=params.d)})
-        jet_p = kp_solve(S0 + bump, params)
-        delta = max(
-            (jet_p.S - jet.S).norm(), (jet_p.Y - jet.Y).norm()
-        )
-        ratios.append(delta / eps_size)
-    stable = max(ratios) / min(ratios)
-    report.add("factorize/lipschitz-ratio-stable", "factorization", stable, 2.0)
-    return _filtered(report, only)
+    crit = cache(lambda: JetCriteria(kp_solve(cfg.build_s0(params), params)))
+    names = ["factorize/su-equals-y", "factorize/y-strictly-differential", "factorize/growth-condition"]
+    groups = [(names, lambda: crit().factorization()), (["factorize/lipschitz-ratio-stable"], lambda: crit().lipschitz())]
+    return _report("factorize", cfg, groups, only)
 
 
 def cmd_check(cfg: RunConfig, only=None) -> Report:
     params = cfg.params()
-    report = Report("check", cfg, cfg.seed)
-    S0 = cfg.build_s0(params)
-    jet = kp_solve(S0, params)
-    for n in range(1, params.K + 1):
-        report.add(f"kp/residual-t{n}", "kp-residual", kp_residual(jet, n), 1e-9)
-        report.add(f"kp/ds-gap-t{n}", "kp-residual", ds_rhs_gap(jet, n), 1e-9)
-    report.add("kp/conj-consistency", "kp-residual", conj_consistency(jet), 1e-9)
-
-    Z_D, Z_S = build_Z(jet)
-    raw_S = -Z_S
-    for m in range(1, params.K + 1):
-        for n in range(m + 1, params.K + 1):
-            report.add(f"zs/d-form-{m}{n}", "zero-curvature", zs_residual(Z_D, m, n, +1), 1e-9)
-            report.add(f"zs/s-form-{m}{n}", "zero-curvature", zs_residual(raw_S, m, n, -1), 1e-9)
-    flipped = zs_residual(Z_D, 1, 2, -1)
-    report.add("zs/sign-flip-control", "zero-curvature", flipped, 1e-2, passed=flipped >= 1e-2)
-
-    ym_base = ym_value(Z_S, cfg.cube_k, cfg.cube_n, 2, 3, cfg.Mr, cfg.Q)
-    report.add("ym/flat-value", "yang-mills", ym_base, 1e-4, passed=ym_base >= 0)
+    K = params.K
+    crit = cache(lambda: JetCriteria(kp_solve(cfg.build_s0(params), params)))
     rng = np.random.default_rng(cfg.seed)
-    worst = np.inf
-    for _ in range(3):
-        pert = TSeries.monomial(
-            params,
-            (0, 1, 0),
-            Symbol(params, {-1: LoopFn.random_trig(rng, params.M, 2, 1e-2, d=params.d)}),
-        )
-        ym_pert = ym_value(Z_S.add_term(3, pert), cfg.cube_k, cfg.cube_n, 2, 3, cfg.Mr, cfg.Q)
-        worst = min(worst, ym_base / ym_pert if ym_pert > 0 else np.inf)
-    report.add("ym/flat-vs-perturbed", "yang-mills", worst, 1e-4)
-
-    report.add("kp2/t12", "zero-curvature", check_t12(jet), 1e-9)
-    report.add("kp2/t13", "zero-curvature", check_t13(jet), 1e-9)
-    report.add("kp2/t23", "zero-curvature", check_t23(jet), 1e-9)
-    report.add("kp2/equiv-t23", "zero-curvature", equiv_t23(extract_u(jet.L)), 1e-10)
-
-    h = 2.0
-    scaled = scale_h(jet.L, h)
-    params_h = params.with_deform(1.0 / h)
-    S0h = Symbol(params_h, {n: f * (h ** float(n)) for n, f in S0.a.items()})
-    jet_h = kp_solve(
-        S0h, params_h, xi_scale=h, time_weights=[h**n for n in range(1, params.K + 1)]
-    )
-    diff = 0.0
-    for mono in set(scaled.terms) | set(jet_h.L.terms):
-        a = scaled.terms.get(mono, Symbol.zero(params))
-        b = jet_h.L.terms.get(mono, Symbol.zero(params_h))
-        for n in set(a.a) | set(b.a):
-            if n >= params.F:
-                diff = max(diff, float(np.linalg.norm((a.coeff(n).c - b.coeff(n).c).astype(complex))))
-    report.add("scaling/covariance-h2", "scaling", diff, 1e-9)
-
     gen = TSeries.monomial(params, (1, 0, 0), Symbol(params, {-1: LoopFn.cos(params.M, d=params.d)}))
-    target = texp(gen)
-    errs = [(product_integral(TPath.constant(gen), n) - target).norm() for n in (64, 128, 256)]
-    for i, n in enumerate((64, 128)):
-        ratio = errs[i] / errs[i + 1]
-        report.add(
-            f"product-integral/rate-n{n}", "product-integral", ratio, 2.2,
-            passed=1.8 <= ratio <= 2.2,
-        )
-    return _filtered(report, only)
+    groups = [
+        ([f"kp/{kind}-t{n}" for n in range(1, K + 1) for kind in ("residual", "ds-gap")] + ["kp/conj-consistency"],
+         lambda: crit().lax()),
+        ([f"zs/{f}-form-{m}{n}" for m in range(1, K + 1) for n in range(m + 1, K + 1) for f in "ds"]
+         + ["zs/sign-flip-control"],
+         lambda: crit().zero_curvature()),
+        (["ym/flat-value", "ym/flat-vs-perturbed"],
+         lambda: crit().yang_mills(rng, 3, cfg.cube_k, cfg.cube_n, cfg.Mr, cfg.Q)),
+        (["kp2/t12", "kp2/t13", "kp2/t23", "kp2/equiv-t23"], lambda: crit().kp2()),
+        (["scaling/covariance-h2"], lambda: crit().scaling()),
+        (["product-integral/rate-n64", "product-integral/rate-n128"], lambda: product_integral_rates(gen)),
+    ]
+    return _report("check", cfg, groups, only)
 
 
 def cmd_flow(cfg: RunConfig, only=None) -> Report:
     params = cfg.params(wide=False)
-    report = Report("flow", cfg, cfg.seed)
-    S0 = cfg.build_s0(params)
-    L0 = conj_from(S0, params)
+    L0 = cache(lambda: conj_from(cfg.build_s0(params), params))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for direction in (2, 3):
-        coeffs = taylor_jet(L0, direction, params.V)
-        rows = []
-        errs = []
-        try:
-            for t_end in (cfg.flow_t_end * 2, cfg.flow_t_end):
-                state = flow_delinearized(L0, direction, t_end, t_end / 256)
-                err = (state.L - eval_taylor(coeffs, t_end)).norm()
-                rows.append((t_end, err))
-                errs.append(err)
-            ratio = errs[0] / errs[1] if errs[1] > 0 else np.inf
-        except FlowBlowup:
-            ratio = 0.0
-        bound = 0.7 * 2 ** (params.V + 1)
-        report.add(f"flow/jet-ratio-t{direction}", "flow", ratio, bound, passed=ratio >= bound)
+
+    def jet_ratio(direction: int) -> list:
+        record, rows, _ = flow_jet_ratio(L0(), direction, cfg.flow_t_end, params.V)
         if rows:
             table = "\n".join(f"{t:.6e} {e:.17e}" for t, e in rows)
             (out / f"flow_convergence_t{direction}.dat").write_text(table + "\n")
-    disc = flows_commute(L0, 1, 2, cfg.flow_t_end, cfg.flow_t_end / 256)
-    report.add("flow/commute-12", "flow", disc, 1e-6)
-    return _filtered(report, only)
+        return [record]
+
+    groups = [([f"flow/jet-ratio-t{n}"], partial(jet_ratio, n)) for n in (2, 3)]
+    groups.append((["flow/commute-12"], lambda: [flow_commute(L0(), cfg.flow_t_end)]))
+    return _report("flow", cfg, groups, only)
 
 
 def cmd_paper_table(cfg: RunConfig, only=None) -> Report:
     params = cfg.params(wide=False)
-    report = Report("paper-table", cfg, cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    M, d = params.M, params.d
-    if cfg.u_table is not None:
-        tables = [
-            {int(m): complex(v[0], v[1]) for m, v in tab.items()} for tab in cfg.u_table
-        ]
-        u1 = LoopFn.from_modes(d, M, tables[0])
-        u2 = LoopFn.from_modes(d, M, tables[1])
-    else:
-        u1 = LoopFn.random_trig(rng, M, max_mode=min(8, M // 4), d=d)
-        u2 = LoopFn.random_trig(rng, M, max_mode=min(8, M // 4), d=d)
-    L = Symbol(params, {1: LoopFn.const(d, M, 1.0), -1: u1, -2: u2})
-    L2, L3 = power(L, 2), power(L, 3)
-    one = LoopFn.const(d, M, 1.0)
-    zero = LoopFn.zero(d, M)
-    expected = {
-        "L2/sigma3": (L2.coeff(3), zero),
-        "L2/sigma2": (L2.coeff(2), one),
-        "L2/sigma1": (L2.coeff(1), zero),
-        "L2/sigma0": (L2.coeff(0), 2.0 * u1),
-        "L3/sigma3": (L3.coeff(3), one),
-        "L3/sigma2": (L3.coeff(2), zero),
-        "L3/sigma1": (L3.coeff(1), 3.0 * u1),
-        "L3/sigma0": (L3.coeff(0), 3.0 * u2 + 3.0 * u1.dx()),
-    }
-    for name, (got, want) in expected.items():
-        report.add(f"table/{name}", "symbol-table", (got - want).norm(), 1e-10)
-    bracket = commutator(L2.d_part(), L3.d_part())
-    want1 = 3.0 * u1.dx(2) + 6.0 * u2.dx()
-    want0 = 3.0 * u2.dx(2) + u1.dx(3) - 6.0 * (u1.dx() * u1)
-    report.add("table/bracket-sigma1", "symbol-table", (bracket.coeff(1) - want1).norm(), 1e-10)
-    report.add("table/bracket-sigma0", "symbol-table", (bracket.coeff(0) - want0).norm(), 1e-10)
-    return _filtered(report, only)
+
+    def table() -> list:
+        if cfg.u_table is not None:
+            u1, u2 = (_from_table(params, t) for t in cfg.u_table)
+        else:
+            rng = np.random.default_rng(cfg.seed)
+            u1, u2 = (LoopFn.random_trig(rng, params.M, min(8, params.M // 4), d=params.d) for _ in range(2))
+        return symbol_table(params, u1, u2)
+
+    names = [f"table/L{p}/sigma{s}" for p in (2, 3) for s in (3, 2, 1, 0)]
+    names += ["table/bracket-sigma1", "table/bracket-sigma0"]
+    return _report("paper-table", cfg, [(names, table)], only)
 
 
 def _kernel_summary(before: dict, after: dict) -> str:

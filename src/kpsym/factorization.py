@@ -148,21 +148,26 @@ def kp_residual(jet: KPJet, n: int) -> float:
     params = jet.params
     if not 1 <= n <= params.K:
         raise ValueError(f"flow index {n} outside [1, {params.K}]")
-    Ln = tpow(jet.L, n)
-    lhs = ddt(jet.L, n)
-    cap = params.V - n
-    r_d = (lhs - tcommutator(Ln.d_part(), jet.L)).norm(max_val=cap)
-    r_s = (lhs + tcommutator(Ln.s_part(), jet.L)).norm(max_val=cap)
-    return max(r_d, r_s)
+    return _lax_defects(jet.L, tpow(jet.L, n), n)[0]
 
 
 def ds_rhs_gap(jet: KPJet, n: int) -> float:
     """Disagreement between the two right-hand-side forms [(L^n)_D, L] and
     -[(L^n)_S, L] over valuations <= V - n."""
-    params = jet.params
-    Ln = tpow(jet.L, n)
-    gap = tcommutator(Ln.d_part(), jet.L) + tcommutator(Ln.s_part(), jet.L)
-    return gap.norm(max_val=params.V - n)
+    return _lax_defects(jet.L, tpow(jet.L, n), n)[1]
+
+
+def _lax_defects(L: TSeries, Ln: TSeries, n: int) -> tuple:
+    """(residual, gap) of the flow t_n from L and its power Ln = L^n, over
+    valuations <= V - n: the larger defect of dL/dt_n = [(L^n)_D, L] and
+    dL/dt_n = -[(L^n)_S, L], and the norm of [(L^n)_D, L] + [(L^n)_S, L].
+    Each bracket is formed once and serves both values."""
+    cap = L.params.V - n
+    rhs_d = tcommutator(Ln.d_part(), L)
+    rhs_s = tcommutator(Ln.s_part(), L)
+    lhs = ddt(L, n)
+    residual = max((lhs - rhs_d).norm(max_val=cap), (lhs + rhs_s).norm(max_val=cap))
+    return residual, (rhs_d + rhs_s).norm(max_val=cap)
 
 
 def conj_consistency(jet: KPJet) -> float:

@@ -223,9 +223,7 @@ def taylor_jet(L0: Symbol, n: int, degree: int) -> list:
         pw = _poly_power(coeffs, n, j)
         rhs = Symbol.zero(L0.params)
         for a in range(j + 1):
-            A = pw[a].s_part()
-            B = coeffs[j - a]
-            rhs = rhs - (compose(A, B) - compose(B, A))
+            rhs = rhs - commutator(pw[a].s_part(), coeffs[j - a])
         coeffs.append(rhs.scale(1.0 / (j + 1)))
     return coeffs
 

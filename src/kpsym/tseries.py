@@ -24,6 +24,7 @@ __all__ = [
     "scale_h",
     "product_integral",
     "tpow",
+    "tpowers",
     "tinvert",
     "tcommutator",
     "conj_t",
@@ -284,12 +285,20 @@ def scale_h(X: TSeries, h: float) -> TSeries:
 
 
 def tpow(X: TSeries, n: int) -> TSeries:
+    for out in tpowers(X, n):
+        pass
+    return out
+
+
+def tpowers(X: TSeries, n: int):
+    """Yield X, X^2, ..., X^n, each the product of the one before with X."""
     if n <= 0:
         raise ValueError(f"tpow expects a positive exponent, got {n}")
     out = X.copy()
+    yield out
     for _ in range(n - 1):
         out = tmul(out, X)
-    return out
+        yield out
 
 
 def tinvert(X: TSeries) -> TSeries:

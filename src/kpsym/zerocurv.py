@@ -20,7 +20,7 @@ import numpy as np
 
 from .factorization import KPJet
 from .symbol import Symbol, realize_matrix
-from .tseries import TSeries, ddt, eval_t, tcommutator, tmul
+from .tseries import TSeries, ddt, eval_t, tcommutator, tpowers
 
 __all__ = [
     "ConnForm",
@@ -99,12 +99,14 @@ class Curvature2Form:
 def build_Z(jet: KPJet) -> tuple:
     """(Z_D, Z_S) with components pi_D(L^k) and -pi_S(L^k), k = 1..K, so that
     Z_D,k - Z_S,k = L^k."""
+    return _forms_from_powers(tpowers(jet.L, jet.params.K))
+
+
+def _forms_from_powers(powers) -> tuple:
+    """(Z_D, Z_S) from the powers L, L^2, ..., L^K, taken one at a time."""
     zd, zs = {}, {}
-    pw = None
-    for k in range(1, jet.params.K + 1):
-        pw = jet.L.copy() if pw is None else tmul(pw, jet.L)
-        zd[k] = pw.d_part()
-        zs[k] = -pw.s_part()
+    for k, pw in enumerate(powers, 1):
+        zd[k], zs[k] = pw.d_part(), -pw.s_part()
     return ConnForm(zd), ConnForm(zs)
 
 

@@ -2,9 +2,13 @@
 
 import json
 import re
+from functools import partial
 
+import numpy as np
 import pytest
 
+from kpsym import LoopFn, Symbol, TSeries, build_Z, kp_solve, ym_value
+from kpsym.symbol import plan_stats
 from kpsym.cli import (
     ANCHORS,
     ConfigError,
@@ -28,7 +32,6 @@ TINY = {
     "cube_k": 0.05,
     "cube_n": 2,
     "flow_t_end": 0.01,
-    "flow_dt": 0.01 / 256,
     "wide": True,
     "s0": [[-1, {"1": [0.5, 0.0], "-1": [0.5, 0.0]}]],
     "seed": 3,
@@ -64,6 +67,25 @@ def test_config_rejects_bad_shapes():
         tiny_config(F=0)
     with pytest.raises(ConfigError):
         tiny_config(s0=[[-1, {"55": [0.1, 0.0]}]])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"d": 2},  # extended precision is refused for d > 1
+        {"g": -1},
+        {"u_table": [{"99": [1, 0]}, {}]},
+        {"u_table": [{}]},
+        {"s0": [5]},
+        {"flow_dt": 0.01 / 256},  # no longer a key: dt is t/256 for each flow time
+    ],
+)
+def test_config_rejected_before_running(tmp_path, raw):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["paper-table", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
 
 def test_config_file_errors(tmp_path):
@@ -169,3 +191,49 @@ def test_flow_command_writes_tables(tmp_path):
     assert (tmp_path / "flow_convergence_t2.dat").exists()
     names = {r["name"]: r for r in rep.records}
     assert names["flow/commute-12"]["pass"]
+
+
+def test_check_yang_mills_record_is_worst_perturbation():
+    cfg = tiny_config()
+    (record,) = cmd_check(cfg, only=["ym/flat-vs-perturbed"]).records
+    params = cfg.params()
+    _, Z_S = build_Z(kp_solve(cfg.build_s0(params), params))
+    ym = partial(ym_value, k=cfg.cube_k, n=cfg.cube_n, i=2, j=3, Mr=cfg.Mr, Q=cfg.Q)
+    base = ym(Z_S)
+    rng = np.random.default_rng(cfg.seed)
+    ratios = []
+    for _ in range(3):
+        bump = LoopFn.random_trig(rng, params.M, 2, amp=1e-2)
+        ratios.append(base / ym(Z_S.add_term(3, TSeries.monomial(params, (0, 1, 0), Symbol(params, {-1: bump})))))
+    assert min(ratios) < max(ratios)
+    assert record["value"] == max(ratios)
+
+
+# A reduced scale keeps the repeated runs of each command cheap.
+ONLY_SCALE = {"M": 8, "F": -4, "g": 4, "V": 4, "Mr": 6, "Q": 4}
+
+
+@pytest.mark.parametrize(
+    "command, selections",
+    [
+        # paper-table has one group: selecting part of it runs all of it
+        (cmd_paper_table, [(["table/L3/"], False)]),
+        (cmd_factorize, [(["factorize/su"], True), (["factorize/y", "factorize/lip"], False)]),
+        (cmd_check, [(["product-integral"], True), (["kp/res", "zs/s-form-23", "scaling"], True)]),
+        (cmd_flow, [(["flow/jet-ratio-t2"], True), (["flow/jet", "flow/commute-99"], True)]),
+    ],
+)
+def test_only_runs_selected_groups(tmp_path, command, selections):
+    cfg = tiny_config(out_dir=str(tmp_path), **ONLY_SCALE)
+
+    def run(only):
+        before = plan_stats()["compose_calls"]
+        records = command(cfg, only=only).records
+        return records, plan_stats()["compose_calls"] - before
+
+    full, full_calls = run(None)
+    for only, skips_a_group in selections:
+        records, calls = run(only)
+        assert records == [r for r in full if any(r["name"].startswith(p) for p in only)]
+        assert records and (calls < full_calls) == skips_a_group
+    assert run(["none/such"]) == ([], 0)
