@@ -71,7 +71,7 @@ def build_U(L0: Symbol, params: TruncParams, time_weights=None, lead: float = 1.
     gen = TSeries.zero(params)
     pw = None
     for n in range(1, params.K + 1):
-        pw = L0.copy() if pw is None else compose(pw, L0)
+        pw = L0 if pw is None else compose(pw, L0)
         gen.set_term(TMono.unit(params.K, n), pw.scale(time_weights[n - 1]))
     return texp(gen)
 
@@ -122,7 +122,7 @@ def kp_solve(S0: Symbol, params: TruncParams, time_weights=None, xi_scale: float
     agreement is a checkable statement, not a definition).  `xi_scale` and
     `time_weights` support the rescaled calculus used by the covariance check.
     """
-    if any(n > 0 for n in S0.a if not S0.a[n].is_zero()):
+    if (S0.order or 0) > 0:
         raise ValueError("dressing must be an order-0 symbol")
     if (S0.coeff(0) - Symbol.identity(params).coeff(0)).norm() > 1e-12:
         raise ValueError("dressing must be of the form 1 + (orders <= -1)")
@@ -131,7 +131,7 @@ def kp_solve(S0: Symbol, params: TruncParams, time_weights=None, xi_scale: float
     S, Y = mulase_factorize(U)
     L = conj_t(S, L0)
     L_via_Y = conj_t(Y, L0)
-    return KPJet(S0=S0.copy(), L0=L0, U=U, S=S, Y=Y, L=L, L_via_Y=L_via_Y)
+    return KPJet(S0=S0, L0=L0, U=U, S=S, Y=Y, L=L, L_via_Y=L_via_Y)
 
 
 def conj_from(S0: Symbol, params: TruncParams, xi_scale: float = 1.0) -> Symbol:

@@ -194,10 +194,7 @@ def flow_delinearized(
         k4 = _flow_rhs(L + k3.scale(dt), n)
         L = (L + (k1 + k2.scale(2.0) + k3.scale(2.0) + k4).scale(dt / 6)).mode_filter(mf)
         t += dt
-        top = max(
-            (f.sup_norm() for q, f in L.a.items() if q >= L.params.F), default=0.0
-        )
-        if top > blowup:
+        if L.sup_norm(floor=L.params.F) > blowup:
             raise FlowBlowup(f"coefficient sup-norm exceeded {blowup:.1e} at t={t:.4g}")
     return FlowState(L=L, t=t, n=n, dt=dt)
 
@@ -218,7 +215,7 @@ def taylor_jet(L0: Symbol, n: int, degree: int) -> list:
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    coeffs = [L0.copy()]
+    coeffs = [L0]
     for j in range(degree):
         pw = _poly_power(coeffs, n, j)
         rhs = Symbol.zero(L0.params)
@@ -230,7 +227,7 @@ def taylor_jet(L0: Symbol, n: int, degree: int) -> list:
 
 def _poly_power(coeffs: list, n: int, cap: int) -> list:
     """Coefficients 0..cap of (sum_j coeffs[j] s^j)^n."""
-    out = [c.copy() for c in coeffs[: cap + 1]]
+    out = coeffs[: cap + 1]
     for _ in range(n - 1):
         nxt = [Symbol.zero(coeffs[0].params) for _ in range(cap + 1)]
         for a, ca in enumerate(out):

@@ -16,18 +16,31 @@ Orders below the working floor F - g are dropped everywhere; algebraic
 identities are only claimed on orders >= F.  The guard band g keeps the
 reported band exact through the compositions used by the solvers.
 
+Storage
+-------
+A `Symbol` packs its coefficients into one read-only array `c` of shape
+(orders, 2M+1, d, d), complex in narrow mode and clongdouble in wide mode:
+`c[i]` holds the Fourier modes of the coefficient of order `lo + i`.  Next
+to it, `sup[i]` is that order's mode support (the smallest band |m| <= s
+outside which its modes are zero), or -1 where the order is absent.  An
+order can be present with an all-zero coefficient; `prune` drops such
+orders.  Operations return new symbols and never write into an operand's
+array, so symbols are shared, not copied.  `LoopFn` is the type of one
+coefficient function: `Symbol(params, {n: LoopFn})` packs once, `coeff(n)`
+and the read-only mapping `a` hand out fresh copies.
+
 Every composition, for any matrix size d and in both precisions, runs
 through one kernel: a direct block-Toeplitz convolution of Fourier modes
 (`_compose`).  The collocation grid is used only to invert order-0
 coefficients pointwise.
 
 The kernel's index work is cached as a plan (`_Plan`) per signature: d, M,
-floor, deform factor, precision, lowest Leibniz order, and the orders and
-mode supports of both operands.  Narrow and wide mode build and use plans
-the same way; only the inner convolution differs.  Plans add their blocks
-of rows in the order of the Leibniz sum, which keeps every result
-bit-identical to a row-by-row scatter.  The 32 most recently used plans are
-kept; `plan_stats` reports the cache's use.
+floor, deform factor, precision, lowest Leibniz order, and the lowest live
+order and the per-order mode supports of both operands.  Narrow and wide
+mode build and use plans the same way; only the inner convolution differs.
+Plans add their blocks of rows in the order of the Leibniz sum, which keeps
+every result bit-identical to a row-by-row scatter.  The 32 most recently
+used plans are kept; `plan_stats` reports the cache's use.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -103,6 +117,11 @@ class TruncParams:
         """Working floor: orders below F - g are discarded."""
         return self.F - self.g
 
+    @property
+    def dtype(self):
+        """Coefficient type: clongdouble in wide mode, complex otherwise."""
+        return np.clongdouble if self.wide else np.complex128
+
     def with_deform(self, eps: float) -> "TruncParams":
         return replace(self, deform=eps)
 
@@ -111,23 +130,33 @@ class TruncParams:
 
 
 class Symbol:
-    """Finite sum a = sum_{floor <= n} a_n(x) xi^n with LoopFn coefficients."""
+    """Finite sum a = sum_{floor <= n} a_n(x) xi^n, packed as described in
+    the module docstring: orders lo .. lo + len(sup) - 1, the first and last
+    of them present."""
 
-    __slots__ = ("params", "a")
+    __slots__ = ("params", "lo", "sup", "c")
 
     def __init__(self, params: TruncParams, a: dict | None = None):
-        self.params = params
-        self.a = {}
-        if a:
-            for n, f in a.items():
-                self._check_coeff(n, f)
-                self.a[int(n)] = f.copy()
+        a = {int(n): f for n, f in (a or {}).items()}
+        for n, f in a.items():
+            if n < params.floor:
+                raise ValueError(f"order {n} below working floor {params.floor}")
+            if f.d != params.d or f.M != params.M:
+                raise ValueError("coefficient does not match params (d, M)")
+        lo = min(a, default=0)
+        sup = np.full(max(a, default=lo - 1) - lo + 1, -1)
+        c = np.zeros((sup.size, 2 * params.M + 1, params.d, params.d), dtype=params.dtype)
+        for n, f in a.items():
+            c[n - lo] = f.c
+            sup[n - lo] = f.mmax
+        self._set(params, lo, sup, c)
 
-    def _check_coeff(self, n: int, f: LoopFn) -> None:
-        if n < self.params.floor:
-            raise ValueError(f"order {n} below working floor {self.params.floor}")
-        if f.d != self.params.d or f.M != self.params.M:
-            raise ValueError("coefficient does not match params (d, M)")
+    def _set(self, params: TruncParams, lo: int, sup: np.ndarray, c: np.ndarray) -> None:
+        present = np.flatnonzero(sup >= 0)
+        i, j = (present[0], present[-1] + 1) if present.size else (0, 0)
+        self.params, self.lo, self.sup, self.c = params, int(lo) + int(i), sup[i:j], c[i:j]
+        self.sup.flags.writeable = False
+        self.c.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
 
@@ -137,58 +166,82 @@ class Symbol:
 
     @classmethod
     def identity(cls, params: TruncParams) -> "Symbol":
-        return cls(params, {0: LoopFn.const(params.d, params.M, 1.0)})
+        return cls.xi(params, 0)
 
     @classmethod
     def xi(cls, params: TruncParams, n: int = 1, coeff=1.0) -> "Symbol":
-        """coeff * xi^n with a constant coefficient."""
-        return cls(params, {n: LoopFn.const(params.d, params.M, coeff)})
+        """coeff * xi^n with a constant coefficient: a scalar (times the
+        identity) or a d x d matrix, kept in the symbol's precision."""
+        if n < params.floor:
+            raise ValueError(f"order {n} below working floor {params.floor}")
+        d, M = params.d, params.M
+        c = np.zeros((1, 2 * M + 1, d, d), dtype=params.dtype)
+        c[0, M] = np.asarray(coeff) * np.eye(d) if np.ndim(coeff) == 0 else np.reshape(coeff, (d, d))
+        return _packed(params, n, np.zeros(1, dtype=int), c)
 
     @classmethod
     def from_terms(cls, params: TruncParams, terms: dict) -> "Symbol":
         return cls(params, terms)
 
-    def copy(self) -> "Symbol":
-        return Symbol(self.params, self.a)
-
     # -- structure ---------------------------------------------------------
 
     def coeff(self, n: int) -> LoopFn:
-        f = self.a.get(n)
-        return f.copy() if f is not None else LoopFn.zero(self.params.d, self.params.M)
+        i = n - self.lo
+        if 0 <= i < self.sup.size and self.sup[i] >= 0:
+            return LoopFn(self.params.d, self.params.M, self.c[i], mmax=self.sup[i])
+        return LoopFn.zero(self.params.d, self.params.M)
+
+    @property
+    def a(self) -> MappingProxyType:
+        """Read-only map order -> coefficient, each a fresh LoopFn."""
+        return MappingProxyType({n: self.coeff(n) for n in self.orders()})
 
     def orders(self) -> list:
-        return sorted(self.a)
+        """Present orders, ascending (including all-zero ones)."""
+        return (self.lo + np.flatnonzero(self.sup >= 0)).tolist()
+
+    def _live(self) -> np.ndarray:
+        """Per stored order: present with a nonzero coefficient."""
+        return self.c.any(axis=(1, 2, 3))
 
     @property
     def order(self):
         """Highest order carrying a nonzero coefficient (None for the zero symbol)."""
-        live = [n for n in self.a if not self.a[n].is_zero()]
-        return max(live) if live else None
+        live = np.flatnonzero(self._live())
+        return self.lo + int(live[-1]) if live.size else None
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(f.norm() <= tol for f in self.a.values())
+        if tol == 0.0:
+            return not self.c.any()
+        return all(v <= tol for v in self.order_norms().values())
 
     def prune(self) -> "Symbol":
-        """Drop exactly-zero coefficients in place."""
-        for n in [n for n, f in self.a.items() if f.is_zero()]:
-            del self.a[n]
-        return self
+        """The symbol without its exactly-zero orders."""
+        live = self._live()
+        if live.all():
+            return self
+        return _packed(self.params, self.lo, np.where(live, self.sup, -1), self.c)
+
+    def order_norms(self) -> dict:
+        """l2 norm of the coefficient of every present order, ascending."""
+        return {n: float(np.linalg.norm(self.c[n - self.lo])) for n in self.orders()}
 
     def norm(self, floor: int | None = None) -> float:
         """l2 norm of coefficients over orders >= floor (default: reported floor F)."""
         if floor is None:
             floor = self.params.F
-        return float(np.sqrt(sum(f.norm() ** 2 for n, f in self.a.items() if n >= floor)))
+        return float(np.sqrt(sum(v**2 for n, v in self.order_norms().items() if n >= floor)))
 
-    def sup_norm(self) -> float:
-        return max((f.sup_norm() for f in self.a.values()), default=0.0)
+    def sup_norm(self, floor: int | None = None) -> float:
+        """Largest coefficient modulus over orders >= floor (default: all)."""
+        c = self.band(lo=floor).c
+        return float(np.max(np.abs(c))) if c.size else 0.0
 
     def eval_sym(self, x: float, xi: complex) -> np.ndarray:
         """Total symbol value sum_n a_n(x) xi^n at a point of the cotangent fiber."""
         out = np.zeros((self.params.d, self.params.d), dtype=complex)
-        for n, f in self.a.items():
-            out += f.eval_at(x) * xi**n
+        for n in self.orders():
+            out += self.coeff(n).eval_at(x) * xi**n
         return out
 
     def _compatible(self, other: "Symbol") -> None:
@@ -196,39 +249,43 @@ class Symbol:
         if (p.d, p.M, p.F, p.g, p.deform, p.wide) != (q.d, q.M, q.F, q.g, q.deform, q.wide):
             raise ValueError("incompatible truncation parameters")
 
+    def recast(self, params: TruncParams) -> "Symbol":
+        """The same coefficients under `params` (same d, M and working floor),
+        in its precision."""
+        if (params.d, params.M, params.floor) != (self.params.d, self.params.M, self.params.floor):
+            raise ValueError("recast needs the same d, M and working floor")
+        return _packed(params, self.lo, self.sup, self.c.astype(params.dtype, copy=False))
+
     def narrow(self) -> "Symbol":
-        """Copy with double-precision coefficients and wide mode off."""
-        params = self.params.with_wide(False)
-        return Symbol(
-            params,
-            {n: LoopFn(f.d, f.M, f.c.astype(complex), mmax=f.mmax) for n, f in self.a.items()},
-        )
+        """Double-precision coefficients, wide mode off."""
+        return self.recast(self.params.with_wide(False))
 
     def widen(self) -> "Symbol":
-        """Copy with extended-precision coefficients and wide mode on."""
-        params = self.params.with_wide(True)
-        return Symbol(
-            params,
-            {n: LoopFn(f.d, f.M, f.c.astype(np.clongdouble), mmax=f.mmax) for n, f in self.a.items()},
-        )
+        """Extended-precision coefficients, wide mode on."""
+        return self.recast(self.params.with_wide(True))
 
     # -- linear operations ---------------------------------------------------
 
     def __add__(self, other: "Symbol") -> "Symbol":
         self._compatible(other)
-        out = self.copy()
-        for n, f in other.a.items():
-            out.a[n] = out.a[n] + f if n in out.a else f.copy()
-        return out
+        lo = min(self.lo, other.lo)
+        n = max(self.lo + self.sup.size, other.lo + other.sup.size) - lo
+        c = np.zeros((n,) + self.c.shape[1:], dtype=self.c.dtype)
+        sup = np.full(n, -1)
+        for X in (self, other):
+            i, j = X.lo - lo, X.lo - lo + X.sup.size
+            c[i:j] += X.c
+            sup[i:j] = np.maximum(sup[i:j], X.sup)
+        return _packed(self.params, lo, sup, c)
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (-other)
 
     def __neg__(self) -> "Symbol":
-        return Symbol(self.params, {n: -f for n, f in self.a.items()})
+        return _packed(self.params, self.lo, self.sup, -self.c)
 
     def scale(self, c) -> "Symbol":
-        return Symbol(self.params, {n: f * c for n, f in self.a.items()})
+        return _packed(self.params, self.lo, self.sup, (self.c * c).astype(self.c.dtype, copy=False))
 
     def map_coeffs(self, fn) -> "Symbol":
         """Apply fn to every coefficient (e.g. LoopFn.dx)."""
@@ -236,14 +293,17 @@ class Symbol:
 
     def mode_filter(self, mmax: int) -> "Symbol":
         """Drop coefficient modes beyond |m| = mmax (spectral cutoff)."""
-        out = {}
-        for n, f in self.a.items():
-            out[n] = LoopFn(f.d, f.M, f.c, mmax=min(f.mmax, mmax))
-        return Symbol(self.params, out)
+        M = self.params.M
+        c = self.c.copy()
+        if mmax < M:
+            c[:, : M - mmax] = 0.0
+            c[:, M + mmax + 1 :] = 0.0
+        return _packed(self.params, self.lo, np.where(self.sup >= 0, np.minimum(self.sup, mmax), -1), c)
 
     def scale_orders(self, h: float) -> "Symbol":
         """xi -> h.xi: order-n coefficient picks up h^n."""
-        return Symbol(self.params, {n: f * (h**float(n)) for n, f in self.a.items()})
+        fac = np.array([h ** float(n) for n in range(self.lo, self.lo + self.sup.size)])
+        return _packed(self.params, self.lo, self.sup, self.c * fac[:, None, None, None])
 
     def __mul__(self, other):
         if isinstance(other, Symbol):
@@ -258,25 +318,45 @@ class Symbol:
 
     # -- projections ---------------------------------------------------------
 
+    def band(self, lo: int | None = None, hi: int | None = None) -> "Symbol":
+        """The orders lo .. hi only (either end open when None)."""
+        n = self.sup.size
+        i = 0 if lo is None else min(max(lo - self.lo, 0), n)
+        j = n if hi is None else min(max(hi + 1 - self.lo, i), n)
+        return _packed(self.params, self.lo + i, self.sup[i:j], self.c[i:j])
+
     def d_part(self) -> "Symbol":
-        return Symbol(self.params, {n: f for n, f in self.a.items() if n >= 0})
+        return self.band(lo=0)
 
     def s_part(self) -> "Symbol":
-        return Symbol(self.params, {n: f for n, f in self.a.items() if n <= -1})
+        return self.band(hi=-1)
+
+
+def _packed(params: TruncParams, lo: int, sup: np.ndarray, c: np.ndarray) -> Symbol:
+    """A symbol holding `c` itself (which must not be written to afterwards)."""
+    out = Symbol.__new__(Symbol)
+    out._set(params, lo, sup, c)
+    return out
 
 
 def _is_plain_identity(A: Symbol) -> bool:
-    if set(A.a) != {0}:
+    if A.lo != 0 or A.sup.size != 1:
         return False
-    c = A.a[0].c
     d, M = A.params.d, A.params.M
-    ident = np.zeros_like(c)
+    ident = np.zeros_like(A.c[0])
     ident[M] = np.eye(d)
-    return bool(np.array_equal(c, ident))
+    return bool(np.array_equal(A.c[0], ident))
 
 
-def _live_orders(A: Symbol) -> list:
-    return [n for n in sorted(A.a) if not A.a[n].is_zero()]
+def _live_supports(A: Symbol):
+    """(lowest live order, mode supports from there to the highest live order
+    with -1 for the orders that are not live), or None for a zero symbol."""
+    live = A._live()
+    idx = np.flatnonzero(live)
+    if not idx.size:
+        return None
+    i, j = idx[0], idx[-1] + 1
+    return A.lo + int(i), tuple(np.where(live[i:j], A.sup[i:j], -1).tolist())
 
 
 def compose(A: Symbol, B: Symbol) -> Symbol:
@@ -291,20 +371,19 @@ def compose(A: Symbol, B: Symbol) -> Symbol:
     """
     A._compatible(B)
     _PLANS.compose_calls += 1
-    params = A.params
     if _is_plain_identity(A):
-        return B.copy()
+        return B
     if _is_plain_identity(B):
-        return A.copy()
+        return A
+    a, b = _live_supports(A), _live_supports(B)
+    if a is None or b is None:
+        return Symbol.zero(A.params)
+    return _compose(A, B, a, b)
 
-    a_orders, b_orders = _live_orders(A), _live_orders(B)
-    if not a_orders or not b_orders:
-        return Symbol.zero(params)
-    return _compose(A, B, a_orders, b_orders)
 
-
-def _compose(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> Symbol:
-    """Leibniz terms k >= kmin of A o B by direct (block-Toeplitz) mode convolution.
+def _compose(A: Symbol, B: Symbol, a, b, kmin: int = 0) -> Symbol:
+    """Leibniz terms k >= kmin of A o B by direct (block-Toeplitz) mode
+    convolution; `a` and `b` are the operands' `_live_supports`.
 
     Each right coefficient b_m is stored as d rows, one per column j, of
     length (2M+1)d laid out as (mode p, row k).  Right-multiplying that stack
@@ -319,25 +398,21 @@ def _compose(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> Symbol:
 
     Everything that depends only on the orders and supports of A and B comes
     from a cached `_Plan`; per call this fills the derivative stack, runs one
-    gather and one product per left order, and adds each (n, k) block of
-    rows into its output orders as a slice.
+    gather and one product per left order, adds each (n, k) block of rows
+    into its output orders as a slice, and masks every output order to its
+    support.  The masked output array is the result's coefficient array.
     """
     params = A.params
     d, M, wide = params.d, params.M, params.wide
-    key = (
-        d, M, params.floor, params.deform, wide, kmin, tuple(a_orders), tuple(b_orders),
-        tuple(A.a[n].mmax for n in a_orders), tuple(B.a[m].mmax for m in b_orders),
-    )
-    plan = _PLANS.get(key)
+    plan = _PLANS.get((d, M, params.floor, params.deform, wide, kmin) + a + b)
     if plan is None:
         return Symbol.zero(params)
 
     L = 2 * M + 1
-    dt = np.clongdouble if wide else complex
-    fb = b_orders[0]
-    b_modes = np.zeros((b_orders[-1] - fb + 1, d, L, d), dtype=dt)  # (order, column j, mode p, row k)
-    for m in b_orders:
-        b_modes[m - fb] = B.a[m].c.transpose(2, 0, 1)
+    dt = params.dtype
+    fb, nB = b[0], len(b[1])
+    # (order, column j, mode p, row k)
+    b_modes = np.ascontiguousarray(B.c[fb - B.lo : fb - B.lo + nB].transpose(0, 3, 1, 2))
     modes = np.arange(-M, M + 1).astype(dt)
     dpow = (1j * modes) ** np.arange(plan.kmax + 1)[:, None]  # (k, mode)
     bk = (b_modes[None] * dpow[:, None, None, :, None]).reshape(-1, L * d)
@@ -348,32 +423,32 @@ def _compose(A: Symbol, B: Symbol, a_orders, b_orders, kmin: int = 0) -> Symbol:
         apad = np.zeros((4 * M + 1) * d * d, dtype=dt)
     for n, s, rows, weights, blocks in plan.steps:
         stack = bk[rows]
-        fn = A.a[n]
+        an = A.c[n - A.lo]
         if wide:
             # no BLAS in extended precision: a row loop of np.convolve over
             # the support of a_n beats a longdouble matmul
-            ker = fn.c[M - s : M + s + 1, 0, 0].astype(dt)
+            ker = an[M - s : M + s + 1, 0, 0]
             conv = np.empty((stack.shape[0], L), dtype=dt)
             for r in range(stack.shape[0]):
                 conv[r] = np.convolve(stack[r], ker)[s : s + L]
         else:
-            apad[M * d * d : (3 * M + 1) * d * d] = fn.c.ravel()
+            apad[M * d * d : (3 * M + 1) * d * d] = an.ravel()
             conv = stack @ apad[t_idx]
         conv *= weights[:, None]
         conv = conv.reshape(-1, d * L * d)
         for t0, t1, r0, r1 in blocks.tolist():
             out[t0:t1] += conv[r0:r1]
 
-    terms = {}
-    for q, support in plan.terms.tolist():
-        coeffs = out[q - plan.q_lo].reshape(d, L, d).transpose(1, 2, 0)
-        terms[q] = LoopFn(d, M, coeffs, mmax=support)
-    return Symbol(params, terms)
+    c = np.ascontiguousarray(out.reshape(plan.nq, d, L, d).transpose(0, 2, 3, 1))
+    c[plan.masked] = 0.0
+    return _packed(params, plan.q_lo, plan.sup, c)
 
 
 class _Plan:
     """What `_compose` needs beyond the coefficient values, for one signature
-    (d, M, floor, deform, wide, kmin, left and right orders and supports).
+    (d, M, floor, deform, wide, kmin, then the lowest live order and the
+    support vector of the left and of the right operand, as `_live_supports`
+    gives them).
 
     - kmax: the highest Leibniz order k taken; q_lo, nq: the output order
       range floor .. q_lo + nq - 1.
@@ -383,7 +458,8 @@ class _Plan:
       factor eps^k/k! n(n-1)...(n-k+1) of each row; `blocks` holds one
       row (t0, t1, r0, r1) per k: row groups r0:r1 add into output orders
       q_lo + t0 .. q_lo + t1 - 1, a row group being the d rows of one m.
-    - terms: rows (output order, mode support) of every output order reached.
+    - sup: the mode support of every output order (capped at M), -1 where
+      no term lands; masked: per output order, the modes beyond its support.
 
     Blocks are added in the (n, k) order of the Leibniz sum.  Within a block
     the output orders are distinct, so each output coefficient receives its
@@ -392,19 +468,20 @@ class _Plan:
     desk-scale flow take about 0.8 MB.
     """
 
-    __slots__ = ("kmax", "q_lo", "nq", "steps", "terms")
+    __slots__ = ("kmax", "q_lo", "nq", "steps", "sup", "masked")
 
-    def __init__(self, d, M, floor, eps, wide, kmin, a_orders, b_orders, a_sup, b_sup):
-        fb, nb = b_orders[0], b_orders[-1]
-        nB = nb - fb + 1
+    def __init__(self, d, M, floor, eps, wide, kmin, a_lo, a_sup, b_lo, b_sup):
+        a_orders = [a_lo + i for i, s in enumerate(a_sup) if s >= 0]
+        fb, nB = b_lo, len(b_sup)
+        nb = fb + nB - 1
         self.kmax = max((n + nb - floor if n < 0 else min(n, n + nb - floor)) for n in a_orders)
         self.q_lo = floor
         self.nq = max(a_orders[-1] + nb - floor + 1, 0)
-        sb = np.zeros(nB, dtype=int)
-        sb[np.subtract(b_orders, fb)] = b_sup
+        sb = np.maximum(b_sup, 0)
         support = np.full(self.nq, -1, dtype=int)
         self.steps = []
-        for n, s in zip(a_orders, a_sup):
+        for n in a_orders:
+            s = a_sup[n - a_lo]
             kcap = n + nb - floor
             if n >= 0:
                 kcap = min(kcap, n)
@@ -433,8 +510,8 @@ class _Plan:
                 support[t0 : t0 + count] = np.maximum(support[t0 : t0 + count], s + sb[m_lo - fb :])
             if blocks:
                 self.steps.append((n, s, np.concatenate(rows), np.concatenate(weights), np.array(blocks, dtype=np.int32)))
-        live = np.flatnonzero(support >= 0)
-        self.terms = np.stack([live + floor, support[live]], axis=1).astype(np.int32)
+        self.sup = np.minimum(support, M)
+        self.masked = np.abs(np.arange(-M, M + 1))[None, :] > self.sup[:, None]
 
 
 # Plans kept at once.  A flow right-hand side reuses a handful of signatures
@@ -505,11 +582,11 @@ def commutator(A: Symbol, B: Symbol) -> Symbol:
     at the scale of the k >= 1 terms.  Matrix coefficients do not commute,
     so for d > 1 every term is kept."""
     A._compatible(B)
-    a_orders, b_orders = _live_orders(A), _live_orders(B)
-    if not a_orders or not b_orders:
+    a, b = _live_supports(A), _live_supports(B)
+    if a is None or b is None:
         return Symbol.zero(A.params)
     kmin = 1 if A.params.d == 1 else 0
-    return _compose(A, B, a_orders, b_orders, kmin) - _compose(B, A, b_orders, a_orders, kmin)
+    return _compose(A, B, a, b, kmin) - _compose(B, A, b, a, kmin)
 
 
 def split_DS(A: Symbol) -> tuple:
@@ -520,26 +597,29 @@ def split_DS(A: Symbol) -> tuple:
 def power(A: Symbol, n: int) -> Symbol:
     if n <= 0:
         raise ValueError(f"power expects a positive exponent, got {n}")
-    out = A.copy()
+    out = A
     for _ in range(n - 1):
         out = compose(out, A)
     return out
 
 
-def _pointwise_inverse(f: LoopFn) -> LoopFn:
-    """Multiplicative inverse of an invertible function, truncated to |m| <= M."""
-    if f.mmax == 0:
-        v = f.c[f.M]
-        if f.d == 1:
+def _pointwise_inverse(a0: Symbol) -> Symbol:
+    """Multiplicative inverse of an invertible order-0 coefficient, truncated
+    to |m| <= M."""
+    params, c, s = a0.params, a0.c[0], a0.sup[0]
+    d, M = params.d, params.M
+    if s == 0:
+        v = c[M]
+        if d == 1:
             if abs(v[0, 0]) < 1e-12:
                 raise ValueError("order-0 coefficient vanishes")
-            return LoopFn.const(f.d, f.M, 1.0 / v[0, 0])
+            return Symbol.xi(params, 0, complex(1.0 / v[0, 0]))
         if abs(np.linalg.det(v)) < 1e-12:
             raise ValueError("order-0 coefficient is singular")
-        return LoopFn.const(f.d, f.M, np.linalg.inv(v))
-    P = grid_size(f.M)
-    vals = to_grid(f.c, f.M, P)
-    if f.d == 1:
+        return Symbol.xi(params, 0, np.linalg.inv(v))
+    P = grid_size(M)
+    vals = to_grid(c, M, P)
+    if d == 1:
         mags = np.abs(vals[:, 0, 0])
         if np.min(mags) < 1e-12:
             raise ValueError("order-0 coefficient vanishes at a collocation point")
@@ -549,7 +629,7 @@ def _pointwise_inverse(f: LoopFn) -> LoopFn:
         if np.min(dets) < 1e-12:
             raise ValueError("order-0 coefficient is singular at a collocation point")
         inv = np.linalg.inv(vals)
-    return LoopFn(f.d, f.M, from_grid(inv, f.M, P))
+    return Symbol(params, {0: LoopFn(d, M, from_grid(inv, M, P))})
 
 
 def invert(A: Symbol) -> Symbol:
@@ -559,23 +639,21 @@ def invert(A: Symbol) -> Symbol:
     strictly-negative-order part, which is nilpotent below the floor.
     """
     params = A.params
-    pos = [n for n in A.a if n > 0 and not A.a[n].is_zero()]
+    pos = A.band(lo=1).prune().orders()
     if pos:
-        raise ValueError(f"invert expects an order-0 symbol, found positive orders {sorted(pos)}")
-    a0 = A.a.get(0)
-    if a0 is None or a0.is_zero():
+        raise ValueError(f"invert expects an order-0 symbol, found positive orders {pos}")
+    a0 = A.band(0, 0)
+    if a0.is_zero():
         raise ValueError("invert expects a nonzero order-0 coefficient")
-    B0 = Symbol(params, {0: _pointwise_inverse(a0)})
+    B0 = _pointwise_inverse(a0)
     A_neg = A.s_part()
     if A_neg.is_zero():
         return B0
     R = compose(B0, A_neg)
-    inv = Symbol.identity(params)
-    term = Symbol.identity(params)
+    inv = term = Symbol.identity(params)
     for _ in range(-params.floor):
-        term = compose(-R, term)
-        term.prune()
-        if not term.a:
+        term = compose(-R, term).prune()
+        if term.is_zero():
             break
         inv = inv + term
     return compose(inv, B0)
@@ -608,10 +686,10 @@ def realize_matrix(A: Symbol, Mr: int) -> np.ndarray:
     diffs = modes[:, None] - modes[None, :]  # output mode minus input mode
     in_band = np.abs(diffs) <= M
     blocks = np.zeros((nmodes, nmodes, d, d), dtype=complex)
-    for n, f in A.a.items():
+    for n in A.orders():
         xi_pow = (1j * modes.astype(complex)) ** n  # per input mode
         cpad = np.zeros((4 * M + 1, d, d), dtype=complex)
-        cpad[M : 3 * M + 1] = f.c.astype(complex)
+        cpad[M : 3 * M + 1] = A.c[n - A.lo].astype(complex)
         conv = cpad[np.where(in_band, diffs + 2 * M, 0)]
         conv[~in_band] = 0.0
         blocks += conv * xi_pow[None, :, None, None]

@@ -99,7 +99,7 @@ class TSeries:
             raise ValueError(f"monomial has {len(mono)} exponents, params.K = {self.params.K}")
         if mono.val > self.params.V:
             return
-        self.terms[mono] = sym.copy()
+        self.terms[mono] = sym
 
     @classmethod
     def zero(cls, params: TruncParams) -> "TSeries":
@@ -126,7 +126,7 @@ class TSeries:
     def term(self, mono) -> Symbol:
         mono = TMono(mono)
         sym = self.terms.get(mono)
-        return sym.copy() if sym is not None else Symbol.zero(self.params)
+        return sym if sym is not None else Symbol.zero(self.params)
 
     def min_val(self) -> int:
         live = [m.val for m, s in self.terms.items() if not s.is_zero()]
@@ -153,7 +153,7 @@ class TSeries:
     def __add__(self, other: "TSeries") -> "TSeries":
         out = self.copy()
         for mono, sym in other.terms.items():
-            out.terms[mono] = out.terms[mono] + sym if mono in out.terms else sym.copy()
+            out.terms[mono] = out.terms[mono] + sym if mono in out.terms else sym
         return out
 
     def __sub__(self, other: "TSeries") -> "TSeries":
@@ -187,7 +187,7 @@ class TSeries:
         """Coefficient of a valuation-v monomial must have order <= max(v, base_order)."""
         for mono, sym in self.terms.items():
             cap = max(mono.val, base_order)
-            bad = [n for n, f in sym.a.items() if n > cap and f.norm() > tol]
+            bad = [n for n, v in sym.order_norms().items() if n > cap and v > tol]
             if bad:
                 raise AssertionError(
                     f"growth violation at monomial {tuple(mono)} (val {mono.val}): orders {sorted(bad)} exceed {cap}"

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .factorization import KPJet
-from .symbol import Symbol, realize_matrix
+from .symbol import realize_matrix
 from .tseries import TSeries, ddt, eval_t, tcommutator, tpowers
 
 __all__ = [
@@ -72,7 +72,7 @@ class ConnForm:
         """Z_S-type forms must have orders <= -1 in every coefficient."""
         for k, W in self.components.items():
             for mono, sym in W.terms.items():
-                bad = [n for n, f in sym.a.items() if n >= 0 and f.norm() > tol]
+                bad = [n for n, v in sym.order_norms().items() if n >= 0 and v > tol]
                 if bad:
                     raise AssertionError(
                         f"component {k}, monomial {tuple(mono)}: non-negative orders {sorted(bad)}"
@@ -162,7 +162,7 @@ def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int 
     # curvature content, and would enter the trace at face value otherwise
     cap = params.V - max(i, j)
     F = TSeries(params, {m: s for m, s in F.terms.items() if m.val <= cap})
-    F = F.map_coeffs(_reported)
+    F = F.map_coeffs(lambda s: s.band(lo=params.F))
     nodes, weights = np.polynomial.legendre.leggauss(Q)
     nodes = nodes * k
     weights = weights * k
@@ -178,6 +178,3 @@ def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int 
         total += w * float(np.sum(np.abs(R) ** 2))
     return total
 
-
-def _reported(sym):
-    return Symbol(sym.params, {n: f for n, f in sym.a.items() if n >= sym.params.F})

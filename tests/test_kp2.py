@@ -221,8 +221,7 @@ def test_flow_negative_control_sign_error(small_jet, small_params):
 
     L0 = small_jet.L0.mode_filter(12)
     dt, steps = 0.01 / 64, 64
-    good = L0.copy()
-    bad = L0.copy()
+    good = bad = L0
     for _ in range(steps):
         def wrong_rhs(L):
             return commutator(power(L, 2).d_part(), L).scale(-1.0)
