@@ -130,21 +130,21 @@ class Report:
     seed: int
     records: list = field(default_factory=list)
 
-    def add(self, name: str, anchor: str, value: float, tol: float, passed: bool | None = None) -> None:
+    def add(self, name: str, anchor: str, value: float, tol: float, passed: bool | None = None,
+            message: str | None = None) -> None:
         if anchor not in ANCHORS:
             raise ValueError(f"unknown anchor tag '{anchor}'")
         if passed is None:
             passed = bool(value <= tol)
-        self.records.append(
-            {
-                "name": name,
-                "anchor": anchor,
-                "value": float(value),
-                "tol": float(tol),
-                "pass": bool(passed),
-                "config_hash": config_hash(self.config),
-            }
-        )
+        record = {
+            "name": name,
+            "anchor": anchor,
+            "value": float(value),
+            "tol": float(tol),
+            "pass": bool(passed),
+            "config_hash": config_hash(self.config),
+        }
+        self.records.append(record if message is None else {**record, "message": message})
 
     @property
     def ok(self) -> bool:
@@ -173,7 +173,8 @@ class Report:
         lines = []
         for r in self.records:
             status = "pass" if r["pass"] else "FAIL"
-            lines.append(f"[{status}] {r['name']}: {r['value']:.3e} (tol {r['tol']:.1e})")
+            why = f" - {r['message']}" if "message" in r else ""
+            lines.append(f"[{status}] {r['name']}: {r['value']:.3e} (tol {r['tol']:.1e}){why}")
         lines.append(f"=> {'all passed' if self.ok else 'FAILURES present'}")
         return "\n".join(lines)
 
@@ -227,7 +228,7 @@ def cmd_flow(cfg: RunConfig, only=None) -> Report:
     out.mkdir(parents=True, exist_ok=True)
 
     def jet_ratio(direction: int) -> list:
-        record, rows, _ = flow_jet_ratio(L0(), direction, cfg.flow_t_end, params.V)
+        record, rows = flow_jet_ratio(L0(), direction, cfg.flow_t_end, params.V)
         if rows:
             table = "\n".join(f"{t:.6e} {e:.17e}" for t, e in rows)
             (out / f"flow_convergence_t{direction}.dat").write_text(table + "\n")

@@ -22,7 +22,8 @@ from .zerocurv import _forms_from_powers, ym_value, zs_residual
 __all__ = ["Record", "JetCriteria", "symbol_table", "product_integral_rates", "flow_jet_ratio", "flow_commute", "select"]
 
 
-Record = namedtuple("Record", "name anchor value tol passed")
+# `message` says why a check could not run to its end (None when it did).
+Record = namedtuple("Record", "name anchor value tol passed message", defaults=(None,))
 
 
 def _at_most(name: str, anchor: str, value: float, tol: float) -> Record:
@@ -167,10 +168,10 @@ def product_integral_rates(gen: TSeries) -> list:
 
 
 def flow_jet_ratio(L0: Symbol, direction: int, t_end: float, degree: int) -> tuple:
-    """(record, rows, blowup): the deviations (t, err) of the flow at dt = t/256
+    """(record, rows): the deviations (t, err) of the flow at dt = t/256
     from the Taylor jet of `degree` at t = 2 t_end and t_end, and their ratio,
     which must reach 0.7 * 2^(degree + 1).  If the flow blows up, the ratio
-    reads 0, rows holds the times reached and blowup the message."""
+    reads 0, rows holds the times reached and the record's message says why."""
     coeffs = taylor_jet(L0, direction, degree)
     rows, blowup = [], None
     try:
@@ -181,7 +182,7 @@ def flow_jet_ratio(L0: Symbol, direction: int, t_end: float, degree: int) -> tup
     except FlowBlowup as exc:
         ratio, blowup = 0.0, str(exc)
     tol = 0.7 * 2 ** (degree + 1)
-    return Record(f"flow/jet-ratio-t{direction}", "flow", ratio, tol, ratio >= tol), rows, blowup
+    return Record(f"flow/jet-ratio-t{direction}", "flow", ratio, tol, ratio >= tol, blowup), rows
 
 
 def flow_commute(L0: Symbol, t_end: float) -> Record:

@@ -107,10 +107,7 @@ def check_t13(jet) -> float:
     """Residuals of the pair  d u_{-1}/d t_1 = d/dx u_{-1}  and
     d u_{-2}/d t_1 = d/dx u_{-2}; returns the larger one."""
     u = extract_u(jet.L)
-    cap = jet.params.V - 1
-    r1 = (ddt(u.u1, 1) - jet_dx(u.u1)).norm(max_val=cap)
-    r2 = (ddt(u.u2, 1) - jet_dx(u.u2)).norm(max_val=cap)
-    return max(r1, r2)
+    return max((ddt(w, 1) - jet_dx(w)).norm(max_val=jet.params.V - 1) for w in (u.u1, u.u2))
 
 
 def check_t23(jet) -> float:
@@ -123,13 +120,13 @@ def check_t23(jet) -> float:
     u = extract_u(jet.L)
     cap = jet.params.V - 3
     r1 = (ddt(u.u1, 2) - jet_dx(u.u1, 2) - jet_dx(u.u2).scale(2.0)).norm(max_val=cap)
-    rhs = (
-        tmul(jet_dx(u.u1), u.u1).scale(-6.0)
-        - jet_dx(u.u1, 3).scale(2.0)
-        - jet_dx(u.u2, 2).scale(3.0)
-    )
-    r2 = (ddt(u.u2, 2).scale(3.0) - ddt(u.u1, 3).scale(2.0) - rhs).norm(max_val=cap)
-    return max(r1, r2)
+    return max(r1, _t23_eliminated(u.u1, u.u2).norm(max_val=cap))
+
+
+def _t23_eliminated(u1: TSeries, u2: TSeries) -> TSeries:
+    """Left minus right side of the second (t_2, t_3) equation of check_t23."""
+    rhs = tmul(jet_dx(u1), u1).scale(-6.0) - jet_dx(u1, 3).scale(2.0) - jet_dx(u2, 2).scale(3.0)
+    return ddt(u2, 2).scale(3.0) - ddt(u1, 3).scale(2.0) - rhs
 
 
 def equiv_t23(u: UPair) -> float:
@@ -152,12 +149,7 @@ def equiv_t23(u: UPair) -> float:
         - ddt(u1, 3).scale(2.0)
         - (tmul(jet_dx(u1), u1).scale(-6.0) + jet_dx(u1, 3) + jet_dx(u2, 2).scale(3.0))
     )
-    eliminated = (
-        ddt(u2, 2).scale(3.0)
-        - ddt(u1, 3).scale(2.0)
-        - (tmul(jet_dx(u1), u1).scale(-6.0) - jet_dx(u1, 3).scale(2.0) - jet_dx(u2, 2).scale(3.0))
-    )
-    return (raw - eliminated).norm(max_val=cap)
+    return (raw - _t23_eliminated(u1, u2)).norm(max_val=cap)
 
 
 def _flow_rhs(L: Symbol, n: int) -> Symbol:

@@ -33,20 +33,15 @@ def to_grid(coeffs: np.ndarray, M: int, P: int) -> np.ndarray:
     `coeffs` has the mode axis first (length 2M+1, index m+M); trailing
     axes pass through.
     """
-    shape = (P,) + coeffs.shape[1:]
-    spec = np.zeros(shape, dtype=complex)
-    for m in range(-M, M + 1):
-        spec[m % P] += coeffs[m + M]
+    spec = np.zeros((P,) + coeffs.shape[1:], dtype=complex)
+    spec[np.arange(-M, M + 1) % P] = coeffs
     return np.fft.ifft(spec, axis=0) * P
 
 
 def from_grid(values: np.ndarray, M: int, P: int) -> np.ndarray:
     """Inverse of to_grid, truncated back to |m| <= M."""
     spec = np.fft.fft(values, axis=0) / P
-    out = np.empty((2 * M + 1,) + values.shape[1:], dtype=complex)
-    for m in range(-M, M + 1):
-        out[m + M] = spec[m % P]
-    return out
+    return spec[np.arange(-M, M + 1) % P]
 
 
 class LoopFn:
@@ -78,28 +73,16 @@ class LoopFn:
             if c.shape != (2 * M + 1, d, d):
                 raise ValueError(f"coefficient array must have shape {(2*M+1, d, d)}, got {c.shape}")
         self.c = c
-        if mmax is None:
-            mmax = self._measure_support()
+        if mmax is None:  # measure the support
+            nz = np.flatnonzero(np.any(c != 0, axis=(1, 2)))
+            mmax = max(abs(nz[0] - M), abs(nz[-1] - M)) if nz.size else 0
         self.mmax = min(int(mmax), M)
-        self._mask()
-        if real:
-            self._check_real()
-
-    def _measure_support(self) -> int:
-        nz = np.nonzero(np.any(self.c != 0, axis=(1, 2)))[0]
-        if nz.size == 0:
-            return 0
-        return int(max(abs(nz[0] - self.M), abs(nz[-1] - self.M)))
-
-    def _mask(self) -> None:
-        if self.mmax < self.M:
-            self.c[: self.M - self.mmax] = 0.0
-            self.c[self.M + self.mmax + 1 :] = 0.0
-
-    def _check_real(self, tol: float = 1e-12) -> None:
+        if self.mmax < M:
+            c[: M - self.mmax] = 0.0
+            c[M + self.mmax + 1 :] = 0.0
         # real-valued f satisfies c_{-m} = conj(c_m)
-        err = np.max(np.abs(self.c - np.conj(self.c[::-1])))
-        if err > tol:
+        err = np.max(np.abs(c - np.conj(c[::-1]))) if real else 0.0
+        if err > 1e-12:
             raise ValueError(f"coefficients violate the real-function symmetry by {err:.3e}")
 
     # -- constructors ------------------------------------------------------
@@ -111,13 +94,7 @@ class LoopFn:
     @classmethod
     def const(cls, d: int, M: int, value) -> "LoopFn":
         """Constant function; `value` is a scalar (times identity) or a d x d matrix."""
-        f = cls(d, M)
-        v = np.asarray(value, dtype=complex)
-        if v.ndim == 0:
-            f.c[M] = v * np.eye(d)
-        else:
-            f.c[M] = v.reshape(d, d)
-        return f
+        return cls.from_modes(d, M, {0: value})
 
     @classmethod
     def from_modes(cls, d: int, M: int, table: dict, real: bool = False) -> "LoopFn":
@@ -152,9 +129,6 @@ class LoopFn:
         c[M] = amp * rng.standard_normal((d, d)) * np.eye(d)
         return cls(d, M, c, mmax=mm)
 
-    def copy(self) -> "LoopFn":
-        return LoopFn(self.d, self.M, self.c, mmax=self.mmax)
-
     # -- arithmetic --------------------------------------------------------
 
     def _compatible(self, other: "LoopFn") -> None:
@@ -168,8 +142,7 @@ class LoopFn:
         return LoopFn(self.d, self.M, self.c + other.c, mmax=max(self.mmax, other.mmax))
 
     def __sub__(self, other: "LoopFn") -> "LoopFn":
-        self._compatible(other)
-        return LoopFn(self.d, self.M, self.c - other.c, mmax=max(self.mmax, other.mmax))
+        return self + (-other)
 
     def __neg__(self) -> "LoopFn":
         return LoopFn(self.d, self.M, -self.c, mmax=self.mmax)
@@ -199,10 +172,7 @@ class LoopFn:
             )
         return LoopFn(d, M, out, mmax=sa + sb)
 
-    def __rmul__(self, other):
-        if isinstance(other, LoopFn):
-            return other.__mul__(self)
-        return LoopFn(self.d, self.M, other * self.c, mmax=self.mmax)
+    __rmul__ = __mul__  # a LoopFn left operand takes __mul__ first
 
     def dx(self, k: int = 1) -> "LoopFn":
         """k-th derivative: mode m picks up (im)^k."""

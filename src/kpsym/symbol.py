@@ -18,16 +18,14 @@ reported band exact through the compositions used by the solvers.
 
 Storage
 -------
-A `Symbol` packs its coefficients into one read-only array `c` of shape
-(orders, 2M+1, d, d), complex in narrow mode and clongdouble in wide mode:
-`c[i]` holds the Fourier modes of the coefficient of order `lo + i`.  Next
-to it, `sup[i]` is that order's mode support (the smallest band |m| <= s
-outside which its modes are zero), or -1 where the order is absent.  An
-order can be present with an all-zero coefficient; `prune` drops such
-orders.  Operations return new symbols and never write into an operand's
-array, so symbols are shared, not copied.  `LoopFn` is the type of one
-coefficient function: `Symbol(params, {n: LoopFn})` packs once, `coeff(n)`
-and the read-only mapping `a` hand out fresh copies.
+A `Symbol` is one read-only array `c` of shape (orders, 2M+1, d, d) in the
+precision of params.wide (complex or clongdouble): `c[i]` holds the modes
+of the coefficient of order lo + i, whose mode support is `sup[i]` (-1 for
+an absent order; a present order may be all zero, and `prune` drops it).
+Operations return new symbols and never write into an operand, so symbols
+are shared, not copied.  `LoopFn` is the type of one coefficient function:
+`Symbol(params, {n: LoopFn})` packs once; `coeff(n)` and the read-only
+mapping `a` hand out fresh copies.
 
 Every composition, for any matrix size d and in both precisions, runs
 through one kernel: a direct block-Toeplitz convolution of Fourier modes
@@ -138,15 +136,14 @@ class Symbol:
 
     def __init__(self, params: TruncParams, a: dict | None = None):
         a = {int(n): f for n, f in (a or {}).items()}
+        lo = min(a, default=0)
+        sup = np.full(max(a, default=lo - 1) - lo + 1, -1)
+        c = np.zeros((sup.size, 2 * params.M + 1, params.d, params.d), dtype=params.dtype)
         for n, f in a.items():
             if n < params.floor:
                 raise ValueError(f"order {n} below working floor {params.floor}")
             if f.d != params.d or f.M != params.M:
                 raise ValueError("coefficient does not match params (d, M)")
-        lo = min(a, default=0)
-        sup = np.full(max(a, default=lo - 1) - lo + 1, -1)
-        c = np.zeros((sup.size, 2 * params.M + 1, params.d, params.d), dtype=params.dtype)
-        for n, f in a.items():
             c[n - lo] = f.c
             sup[n - lo] = f.mmax
         self._set(params, lo, sup, c)
@@ -293,11 +290,8 @@ class Symbol:
 
     def mode_filter(self, mmax: int) -> "Symbol":
         """Drop coefficient modes beyond |m| = mmax (spectral cutoff)."""
-        M = self.params.M
-        c = self.c.copy()
-        if mmax < M:
-            c[:, : M - mmax] = 0.0
-            c[:, M + mmax + 1 :] = 0.0
+        keep = np.abs(np.arange(-self.params.M, self.params.M + 1)) <= mmax
+        c = np.where(keep[:, None, None], self.c, 0)
         return _packed(self.params, self.lo, np.where(self.sup >= 0, np.minimum(self.sup, mmax), -1), c)
 
     def scale_orders(self, h: float) -> "Symbol":
@@ -340,12 +334,7 @@ def _packed(params: TruncParams, lo: int, sup: np.ndarray, c: np.ndarray) -> Sym
 
 
 def _is_plain_identity(A: Symbol) -> bool:
-    if A.lo != 0 or A.sup.size != 1:
-        return False
-    d, M = A.params.d, A.params.M
-    ident = np.zeros_like(A.c[0])
-    ident[M] = np.eye(d)
-    return bool(np.array_equal(A.c[0], ident))
+    return A.lo == 0 and A.sup.size == 1 and bool(np.array_equal(A.c, Symbol.identity(A.params).c))
 
 
 def _live_supports(A: Symbol):
@@ -375,15 +364,12 @@ def compose(A: Symbol, B: Symbol) -> Symbol:
         return B
     if _is_plain_identity(B):
         return A
-    a, b = _live_supports(A), _live_supports(B)
-    if a is None or b is None:
-        return Symbol.zero(A.params)
-    return _compose(A, B, a, b)
+    return _compose(A, B)
 
 
-def _compose(A: Symbol, B: Symbol, a, b, kmin: int = 0) -> Symbol:
+def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     """Leibniz terms k >= kmin of A o B by direct (block-Toeplitz) mode
-    convolution; `a` and `b` are the operands' `_live_supports`.
+    convolution.
 
     Each right coefficient b_m is stored as d rows, one per column j, of
     length (2M+1)d laid out as (mode p, row k).  Right-multiplying that stack
@@ -396,15 +382,15 @@ def _compose(A: Symbol, B: Symbol, a, b, kmin: int = 0) -> Symbol:
     convolution runs row by row in extended precision with exact integer
     falling factorials.
 
-    Everything that depends only on the orders and supports of A and B comes
-    from a cached `_Plan`; per call this fills the derivative stack, runs one
-    gather and one product per left order, adds each (n, k) block of rows
-    into its output orders as a slice, and masks every output order to its
-    support.  The masked output array is the result's coefficient array.
+    The index work comes from a cached `_Plan`; per call this fills the
+    derivative stack, runs one gather and one product per left order, adds
+    each (n, k) block of rows into its output orders and masks each order to
+    its support, in the array the result keeps.
     """
     params = A.params
     d, M, wide = params.d, params.M, params.wide
-    plan = _PLANS.get((d, M, params.floor, params.deform, wide, kmin) + a + b)
+    a, b = _live_supports(A), _live_supports(B)
+    plan = None if a is None or b is None else _PLANS.get((d, M, params.floor, params.deform, wide, kmin) + a + b)
     if plan is None:
         return Symbol.zero(params)
 
@@ -582,11 +568,8 @@ def commutator(A: Symbol, B: Symbol) -> Symbol:
     at the scale of the k >= 1 terms.  Matrix coefficients do not commute,
     so for d > 1 every term is kept."""
     A._compatible(B)
-    a, b = _live_supports(A), _live_supports(B)
-    if a is None or b is None:
-        return Symbol.zero(A.params)
     kmin = 1 if A.params.d == 1 else 0
-    return _compose(A, B, a, b, kmin) - _compose(B, A, b, a, kmin)
+    return _compose(A, B, kmin) - _compose(B, A, kmin)
 
 
 def split_DS(A: Symbol) -> tuple:
@@ -605,30 +588,18 @@ def power(A: Symbol, n: int) -> Symbol:
 
 def _pointwise_inverse(a0: Symbol) -> Symbol:
     """Multiplicative inverse of an invertible order-0 coefficient, truncated
-    to |m| <= M."""
-    params, c, s = a0.params, a0.c[0], a0.sup[0]
-    d, M = params.d, params.M
-    if s == 0:
-        v = c[M]
-        if d == 1:
-            if abs(v[0, 0]) < 1e-12:
-                raise ValueError("order-0 coefficient vanishes")
-            return Symbol.xi(params, 0, complex(1.0 / v[0, 0]))
-        if abs(np.linalg.det(v)) < 1e-12:
-            raise ValueError("order-0 coefficient is singular")
-        return Symbol.xi(params, 0, np.linalg.inv(v))
-    P = grid_size(M)
-    vals = to_grid(c, M, P)
-    if d == 1:
-        mags = np.abs(vals[:, 0, 0])
-        if np.min(mags) < 1e-12:
-            raise ValueError("order-0 coefficient vanishes at a collocation point")
-        inv = 1.0 / vals
-    else:
-        dets = np.abs(np.linalg.det(vals))
-        if np.min(dets) < 1e-12:
-            raise ValueError("order-0 coefficient is singular at a collocation point")
-        inv = np.linalg.inv(vals)
+    to |m| <= M: of its one mode, in its precision, when it is constant, else
+    of its values on the collocation grid."""
+    params, c = a0.params, a0.c[0]
+    d, M, P = params.d, params.M, grid_size(params.M)
+    const = a0.sup[0] == 0
+    vals = c[M : M + 1] if const else to_grid(c, M, P)
+    size = np.abs(vals[:, 0, 0] if d == 1 else np.linalg.det(vals))
+    if np.min(size) < 1e-12:
+        raise ValueError("order-0 coefficient is not invertible" + ("" if const else " at a collocation point"))
+    inv = 1.0 / vals if d == 1 else np.linalg.inv(vals)
+    if const:
+        return Symbol.xi(params, 0, inv[0])
     return Symbol(params, {0: LoopFn(d, M, from_grid(inv, M, P))})
 
 

@@ -128,10 +128,6 @@ class TSeries:
         sym = self.terms.get(mono)
         return sym if sym is not None else Symbol.zero(self.params)
 
-    def min_val(self) -> int:
-        live = [m.val for m, s in self.terms.items() if not s.is_zero()]
-        return min(live) if live else self.params.V + 1
-
     def prune(self) -> "TSeries":
         for m in [m for m, s in self.terms.items() if s.is_zero()]:
             del self.terms[m]
@@ -231,6 +227,7 @@ def texp(X: TSeries) -> TSeries:
     zero_mono = TMono.zero(params.K)
     if zero_mono in X.terms and not X.terms[zero_mono].is_zero():
         raise ValueError("texp requires valuation >= 1 (nonzero constant term found)")
+    one = params.dtype(1).real  # 1/k! in the series' precision
     out = TSeries.one(params)
     pw = TSeries.one(params)
     for k in range(1, params.V + 1):
@@ -238,7 +235,7 @@ def texp(X: TSeries) -> TSeries:
         pw.prune()
         if not pw.terms:
             break
-        out = out + pw.scale(1.0 / factorial(k))
+        out = out + pw.scale(one / factorial(k))
     if _CHECK_GROWTH:
         out.assert_growth(base_order=params.N)
     return out

@@ -133,9 +133,9 @@ def test_criterion_8_direction_t3(flow_base):
     # the stated ratio bound cannot be met.  The analysis is recorded in
     # README.md; this test states the criterion faithfully and fails.
     L0 = flow_base
-    record, _, blowup = flow_jet_ratio(L0, 3, 0.01, 6)
-    if blowup is not None:  # FlowBlowup expected
-        outcome(8, False, f"t3 flow at dt=t/256 diverges ({blowup}); ratio bound unattainable")
+    record, _ = flow_jet_ratio(L0, 3, 0.01, 6)
+    if record.message is not None:  # FlowBlowup expected
+        outcome(8, False, f"t3 flow at dt=t/256 diverges ({record.message}); ratio bound unattainable")
         return
     ratio = record.value
     outcome(8, ratio >= 0.7 * 2**7, f"t3 flow/jet ratio {ratio:.1f} >= 89.6")

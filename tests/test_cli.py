@@ -193,6 +193,22 @@ def test_flow_command_writes_tables(tmp_path):
     assert names["flow/commute-12"]["pass"]
 
 
+def test_flow_blowup_reason_reported(tmp_path, capsys):
+    # at TINY the t3 flow blows up; the record and the summary line carry why
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path), "--only", "flow/jet-ratio-t3"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    (record,) = json.loads((tmp_path / "flow_report.json").read_text())["records"]
+    assert record["message"].startswith("coefficient sup-norm exceeded 1.0e+06 at t=")
+    assert line == f"[FAIL] flow/jet-ratio-t3: 0.000e+00 (tol 9.0e+01) - {record['message']}"
+    # a record without a message keeps its keys and its summary line
+    rep = Report("flow", tiny_config(), 3)
+    rep.add("flow/commute-12", "flow", 3.388e-15, 1e-6)
+    assert set(rep.records[0]) == {"name", "anchor", "value", "tol", "pass", "config_hash"}
+    assert rep.summary().splitlines()[0] == "[pass] flow/commute-12: 3.388e-15 (tol 1.0e-06)"
+
+
 def test_check_yang_mills_record_is_worst_perturbation():
     cfg = tiny_config()
     (record,) = cmd_check(cfg, only=["ym/flat-vs-perturbed"]).records

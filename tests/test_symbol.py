@@ -404,3 +404,70 @@ def test_plan_cache_key_is_complete():
             clear_plans()
             f()
             assert same_symbol(g(), alone)
+
+
+def snapshot(S):
+    return S.lo, S.sup.copy(), S.c.copy()
+
+
+def same_snapshot(S, snap):
+    lo, sup, c = snap
+    return S.lo == lo and np.array_equal(S.sup, sup) and S.c.dtype == c.dtype and np.array_equal(S.c, c)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_operations_leave_operands_unchanged(wide):
+    p = P.with_wide(wide)
+    A, B = random_pair(np.random.default_rng(33), p)
+    S = Symbol.from_terms(p, {0: LoopFn.const(1, M, 1.0), -1: LoopFn.cos(M), -2: LoopFn.zero(1, M)})
+    before = [snapshot(X) for X in (A, B, S)]
+    ops = (
+        lambda: A + B, lambda: A - B, lambda: -A, lambda: A.scale(0.3), lambda: compose(A, B),
+        lambda: commutator(A, B), lambda: conj(S, A), lambda: invert(S), lambda: power(A, 3),
+        lambda: A.d_part(), lambda: A.s_part(), lambda: A.mode_filter(1), lambda: S.prune(),
+    )
+    for op in ops:
+        op()
+    assert all(same_snapshot(X, snap) for X, snap in zip((A, B, S), before))
+    assert S.prune().orders() == [-1, 0] and S.orders() == [-2, -1, 0]
+    # the arrays are shared, so writing into them must fail
+    with pytest.raises(ValueError):
+        A.c[0, M, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_pack_unpack_roundtrip(wide):
+    # orders, supports, dtype and values survive Symbol(p, S.a), present-zero
+    # orders (with and without a mode support) included
+    p = P.with_wide(wide)
+    rng = np.random.default_rng(34)
+    S = Symbol.from_terms(p, {
+        2: LoopFn.random_trig(rng, M, 3), 0: LoopFn.zero(1, M), -1: LoopFn(1, M, np.zeros((2 * M + 1, 1, 1)), mmax=4),
+        -4: LoopFn.cos(M, 2),
+    })
+    if wide:
+        S = S.scale(1 / 3)  # extended-precision values
+    T = Symbol(p, S.a)
+    assert T.orders() == S.orders() == [-4, -1, 0, 2]
+    assert [f.mmax for f in T.a.values()] == [f.mmax for f in S.a.values()] == [2, 4, 0, 3]
+    assert T.c.dtype == S.c.dtype == p.dtype
+    assert all(np.array_equal(T.coeff(n).c, S.coeff(n).c) for n in range(-5, 4))
+    assert same_snapshot(T, snapshot(S))
+
+
+def test_wide_symbol_holds_extended_coefficients():
+    # double coefficients packed into a wide symbol are held, and summed, in
+    # extended precision
+    pw = P.with_wide(True)
+    S = Symbol.from_terms(pw, {0: LoopFn.const(1, M, 1.0), -1: LoopFn.cos(M)})
+    assert all(f.c.dtype == np.clongdouble for f in S.a.values())
+    tiny = 2.0**-60  # below eps(float64), above eps(longdouble)
+    got = (S + S.scale(tiny)).coeff(0).c[M, 0, 0]
+    assert got == 1 + np.longdouble(tiny)
+
+
+def test_invert_non_unit_constant_wide():
+    # 1/a0 of a constant a0 = 3 must stay in extended precision
+    pw = TruncParams(M=16, F=-6, g=4, wide=True)
+    A = Symbol.from_terms(pw, {0: LoopFn.const(1, 16, 3.0), -1: LoopFn.cos(16)})
+    assert (compose(A, invert(A)) - Symbol.identity(pw)).norm() <= 1e-18

@@ -74,6 +74,22 @@ def test_texp_scalar_series():
         assert abs(got - c**k / factorial(k)) < 1e-14
 
 
+def test_texp_scalar_series_wide():
+    # 1/k! in extended precision: against a longdouble oracle c^k/k!, not
+    # just the double one
+    from math import factorial
+
+    pw = P.with_wide(True)
+    c = np.longdouble(0.7)
+    X = TSeries.monomial(pw, (1, 0, 0), Symbol.from_terms(pw, {0: LoopFn.const(1, M, 0.7)}))
+    E = texp(X)
+    eps = np.finfo(np.longdouble).eps
+    for k in range(pw.V + 1):
+        want = c**k / factorial(k)
+        got = E.term((k, 0, 0)).coeff(0).mode(0)[0, 0]
+        assert abs(got - want) <= 8 * eps * want
+
+
 def test_texp_t1t2_coefficient_oracle():
     # oracle: direct expansion of the double series; commuting generators give
     # coefficient L0^3 at t1 t2
