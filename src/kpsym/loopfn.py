@@ -172,7 +172,7 @@ class LoopFn:
             )
         return LoopFn(d, M, out, mmax=sa + sb)
 
-    __rmul__ = __mul__  # a LoopFn left operand takes __mul__ first
+    __rmul__ = __mul__  # number * f; f * g always runs f.__mul__
 
     def dx(self, k: int = 1) -> "LoopFn":
         """k-th derivative: mode m picks up (im)^k."""

@@ -286,7 +286,7 @@ class Symbol:
 
     def map_coeffs(self, fn) -> "Symbol":
         """Apply fn to every coefficient (e.g. LoopFn.dx)."""
-        return Symbol(self.params, {n: fn(f) for n, f in self.a.items()})
+        return Symbol(self.params, {n: fn(self.coeff(n)) for n in self.orders()})
 
     def mode_filter(self, mmax: int) -> "Symbol":
         """Drop coefficient modes beyond |m| = mmax (spectral cutoff)."""
