@@ -1,47 +1,18 @@
 """Matrix-valued smooth functions on the circle, stored as truncated Fourier series.
 
 A LoopFn holds the coefficients c_m of f(x) = sum_{|m| <= M} c_m e^{imx},
-each c_m a complex d x d matrix.  Products are computed on a padded
-collocation grid, so the retained band |m| <= M is exact (no aliasing);
-modes beyond M are silently dropped.  Callers that need exact identities
-must budget modes accordingly.
+each c_m a complex d x d matrix (clongdouble when built from extended
+coefficients).  A product is a direct convolution of the modes in the
+coefficients' precision, with no collocation grid: the retained band
+|m| <= M is exact and modes beyond M are silently dropped.  Callers that
+need exact identities must budget modes accordingly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LoopFn", "grid_size", "to_grid", "from_grid"]
-
-
-def grid_size(M: int) -> int:
-    """Smallest 5-smooth integer P >= 3M + 2 (alias-free product grid)."""
-    n = 3 * M + 2
-    while True:
-        k = n
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return n
-        n += 1
-
-
-def to_grid(coeffs: np.ndarray, M: int, P: int) -> np.ndarray:
-    """Evaluate Fourier coefficients on the uniform grid x_j = 2*pi*j/P.
-
-    `coeffs` has the mode axis first (length 2M+1, index m+M); trailing
-    axes pass through.
-    """
-    spec = np.zeros((P,) + coeffs.shape[1:], dtype=complex)
-    spec[np.arange(-M, M + 1) % P] = coeffs
-    return np.fft.ifft(spec, axis=0) * P
-
-
-def from_grid(values: np.ndarray, M: int, P: int) -> np.ndarray:
-    """Inverse of to_grid, truncated back to |m| <= M."""
-    spec = np.fft.fft(values, axis=0) / P
-    return spec[np.arange(-M, M + 1) % P]
+__all__ = ["LoopFn"]
 
 
 class LoopFn:
@@ -148,25 +119,16 @@ class LoopFn:
         return LoopFn(self.d, self.M, -self.c, mmax=self.mmax)
 
     def __mul__(self, other):
-        if isinstance(other, LoopFn):
-            self._compatible(other)
-            if self.c.dtype == np.clongdouble or other.c.dtype == np.clongdouble:
-                return self._mul_direct(other)
-            P = grid_size(self.M)
-            va = to_grid(self.c, self.M, P)
-            vb = to_grid(other.c, other.M, P)
-            return LoopFn(self.d, self.M, from_grid(va @ vb, self.M, P), mmax=self.mmax + other.mmax)
-        return LoopFn(self.d, self.M, self.c * other, mmax=self.mmax)
-
-    def _mul_direct(self, other: "LoopFn") -> "LoopFn":
-        # extended precision has no FFT support; convolve mode by mode
+        if not isinstance(other, LoopFn):
+            return LoopFn(self.d, self.M, self.c * other, mmax=self.mmax)
+        # direct mode convolution: for each mode p of self, one batched matmul
+        # against the modes of other that land in |q| <= M
+        self._compatible(other)
         M, d = self.M, self.d
-        out = np.zeros((2 * M + 1, d, d), dtype=np.clongdouble)
+        out = np.zeros((2 * M + 1, d, d), dtype=np.result_type(self.c, other.c))
         sa, sb = self.mmax, other.mmax
         for p in range(-sa, sa + 1):
             lo, hi = max(-M, -sb + p) - p, min(M, sb + p) - p
-            if lo > hi:
-                continue
             out[lo + p + M : hi + p + M + 1] += np.matmul(
                 np.broadcast_to(self.c[p + M], (hi - lo + 1, d, d)), other.c[lo + M : hi + M + 1]
             )

@@ -29,8 +29,7 @@ mapping `a` hand out fresh copies.
 
 Every composition, for any matrix size d and in both precisions, runs
 through one kernel: a direct block-Toeplitz convolution of Fourier modes
-(`_compose`).  The collocation grid is used only to invert order-0
-coefficients pointwise.
+(`_compose`).
 
 The kernel's index work is cached as a plan (`_Plan`) per signature: d, M,
 floor, deform factor, precision, lowest Leibniz order, and the lowest live
@@ -51,7 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .loopfn import LoopFn, from_grid, grid_size, to_grid
+from .loopfn import LoopFn
 
 # Machine epsilon of np.longdouble.  Wide mode needs a genuinely extended
 # type (x86's 80-bit format gives 1.08e-19); where longdouble is plain
@@ -358,8 +357,9 @@ def compose(A: Symbol, B: Symbol) -> Symbol:
     Every matrix size d runs through the same direct block-Toeplitz mode
     convolution (see `_compose`).
     """
+    global _compose_calls
     A._compatible(B)
-    _PLANS.compose_calls += 1
+    _compose_calls += 1
     if _is_plain_identity(A):
         return B
     if _is_plain_identity(B):
@@ -375,12 +375,12 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     length (2M+1)d laid out as (mode p, row k).  Right-multiplying that stack
     by T_n[(p, k), (q, i)] = a_n[q - p][i, k] gives the modes of the
     pointwise product a_n b_m, truncated to |q| <= M, with the matrix order
-    kept.  Convolving directly keeps rounding noise local per output mode; an
-    FFT round-trip would smear each row's largest coefficient across the
-    whole band, and the (im)^k derivative factors of later compositions
-    amplify exactly that high-mode junk.  In wide mode (d = 1 only) the
-    convolution runs row by row in extended precision with exact integer
-    falling factorials.
+    kept.  Convolving directly keeps rounding noise local per output mode; a
+    round trip through point values would smear each row's largest
+    coefficient across the whole band, and the (im)^k derivative factors of
+    later compositions amplify exactly that high-mode junk.  In wide mode
+    (d = 1 only) the convolution runs row by row in extended precision with
+    exact integer falling factorials.
 
     The index work comes from a cached `_Plan`; per call this fills the
     derivative stack, runs one gather and one product per left order, adds
@@ -390,8 +390,8 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     params = A.params
     d, M, wide = params.d, params.M, params.wide
     a, b = _live_supports(A), _live_supports(B)
-    plan = None if a is None or b is None else _PLANS.get((d, M, params.floor, params.deform, wide, kmin) + a + b)
-    if plan is None:
+    plan = None if a is None or b is None else _plan(d, M, params.floor, params.deform, wide, kmin, *a, *b)
+    if plan is None or plan.kmax < 0:
         return Symbol.zero(params)
 
     L = 2 * M + 1
@@ -500,53 +500,31 @@ class _Plan:
         self.masked = np.abs(np.arange(-M, M + 1))[None, :] > self.sup[:, None]
 
 
-# Plans kept at once.  A flow right-hand side reuses a handful of signatures
-# thousands of times; the verify phase of a Taylor jet alone makes 63.
+# Plans kept at once, the least recently used going first.  A flow
+# right-hand side reuses a handful of signatures thousands of times; the
+# verify phase of a Taylor jet alone makes 63.
 _PLAN_CAPACITY = 32
-
-
-class _PlanCache:
-    """Compose plans by signature, at most _PLAN_CAPACITY of them (the least
-    recently used goes first), with counters for `plan_stats`."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.plans = {}
-        self.compose_calls = self.hits = self.misses = 0
-
-    def get(self, key) -> _Plan | None:
-        """The plan of a `_compose` key; None when no Leibniz term is in range."""
-        try:
-            plan = self.plans.pop(key)
-            self.hits += 1
-        except KeyError:
-            self.misses += 1
-            plan = _Plan(*key)
-            if len(self.plans) >= _PLAN_CAPACITY:
-                del self.plans[next(iter(self.plans))]
-        self.plans[key] = plan
-        return plan if plan.kmax >= 0 else None
-
-
-_PLANS = _PlanCache()
+_plan = lru_cache(maxsize=_PLAN_CAPACITY)(_Plan)
+_compose_calls = 0  # calls of `compose` since the last `clear_plans`
 
 
 def plan_stats() -> dict:
     """Calls of `compose`, compose-plan cache hits and misses since the last
     `clear_plans`, and the number of plans held."""
+    info = _plan.cache_info()
     return {
-        "compose_calls": _PLANS.compose_calls,
-        "plan_hits": _PLANS.hits,
-        "plan_misses": _PLANS.misses,
-        "plans": len(_PLANS.plans),
+        "compose_calls": _compose_calls,
+        "plan_hits": info.hits,
+        "plan_misses": info.misses,
+        "plans": info.currsize,
     }
 
 
 def clear_plans() -> None:
     """Drop every cached compose plan and zero the counters of `plan_stats`."""
-    _PLANS.clear()
+    global _compose_calls
+    _plan.cache_clear()
+    _compose_calls = 0
 
 
 @lru_cache(maxsize=8)
@@ -586,25 +564,23 @@ def power(A: Symbol, n: int) -> Symbol:
     return out
 
 
-def _pointwise_inverse(a0: Symbol) -> Symbol:
-    """Multiplicative inverse of an invertible order-0 coefficient, truncated
-    to |m| <= M: of its one mode, in its precision, when it is constant, else
-    of its values on the collocation grid."""
-    params, c = a0.params, a0.c[0]
-    d, M, P = params.d, params.M, grid_size(params.M)
-    const = a0.sup[0] == 0
-    vals = c[M : M + 1] if const else to_grid(c, M, P)
-    size = np.abs(vals[:, 0, 0] if d == 1 else np.linalg.det(vals))
-    if np.min(size) < 1e-12:
-        raise ValueError("order-0 coefficient is not invertible" + ("" if const else " at a collocation point"))
-    inv = 1.0 / vals if d == 1 else np.linalg.inv(vals)
-    if const:
-        return Symbol.xi(params, 0, inv[0])
-    return Symbol(params, {0: LoopFn(d, M, from_grid(inv, M, P))})
+def _constant_inverse(a0: Symbol) -> Symbol:
+    """Inverse of a constant, invertible order-0 coefficient, in its precision.
+    Constancy is read from the values, so a constant stored with a wider
+    support still inverts."""
+    params, c, M = a0.params, a0.c[0], a0.params.M
+    if c[:M].any() or c[M + 1 :].any():
+        raise ValueError("invert needs a constant order-0 coefficient")
+    val = c[M]
+    if abs(val[0, 0] if params.d == 1 else np.linalg.det(val)) < 1e-12:
+        raise ValueError("order-0 coefficient is not invertible")
+    return Symbol.xi(params, 0, 1.0 / val if params.d == 1 else np.linalg.inv(val))
 
 
 def invert(A: Symbol) -> Symbol:
-    """Inverse of an order-0 symbol with pointwise-invertible leading coefficient.
+    """Inverse of an order-0 symbol whose order-0 coefficient a_0 is an
+    invertible constant (the dressings S = 1 + orders <= -1 have a_0 = 1);
+    a non-constant a_0 raises ValueError.
 
     Writes A = a_0 (1 + a_0^{-1} A_-) and sums the Neumann series of the
     strictly-negative-order part, which is nilpotent below the floor.
@@ -616,7 +592,7 @@ def invert(A: Symbol) -> Symbol:
     a0 = A.band(0, 0)
     if a0.is_zero():
         raise ValueError("invert expects a nonzero order-0 coefficient")
-    B0 = _pointwise_inverse(a0)
+    B0 = _constant_inverse(a0)
     A_neg = A.s_part()
     if A_neg.is_zero():
         return B0
@@ -654,15 +630,14 @@ def realize_matrix(A: Symbol, Mr: int) -> np.ndarray:
     d, M = params.d, params.M
     modes = np.concatenate([np.arange(-Mr, 0), np.arange(1, Mr + 1)])
     nmodes = modes.size
-    diffs = modes[:, None] - modes[None, :]  # output mode minus input mode
-    in_band = np.abs(diffs) <= M
+    # output mode minus input mode: |diff| <= 2Mr <= 2M indexes cpad's padding
+    diffs = modes[:, None] - modes[None, :]
     blocks = np.zeros((nmodes, nmodes, d, d), dtype=complex)
     for n in A.orders():
         xi_pow = (1j * modes.astype(complex)) ** n  # per input mode
         cpad = np.zeros((4 * M + 1, d, d), dtype=complex)
         cpad[M : 3 * M + 1] = A.c[n - A.lo].astype(complex)
-        conv = cpad[np.where(in_band, diffs + 2 * M, 0)]
-        conv[~in_band] = 0.0
+        conv = cpad[diffs + 2 * M]
         blocks += conv * xi_pow[None, :, None, None]
     return blocks.transpose(0, 2, 1, 3).reshape(nmodes * d, nmodes * d)
 

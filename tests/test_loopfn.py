@@ -1,5 +1,7 @@
 """Coefficient-ring arithmetic: truncated Fourier series on the circle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,37 @@ def test_shift_x():
     shifted = f.shift_x(tau)
     x = 1.1
     assert abs(shifted.eval_at(x)[0, 0] - f.eval_at(x + tau)[0, 0]) < 1e-12
+
+
+def _exact(z):
+    """(re, im) of a complex number as exact fractions."""
+    return Fraction(*z.real.as_integer_ratio()), Fraction(*z.imag.as_integer_ratio())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_mul_matches_exact_convolution(d, dtype):
+    # oracle: sum_p a_p b_{q-p} for |q| <= Mc in exact rational arithmetic;
+    # supports 5 + 6 > Mc, so the product's top modes are cut
+    Mc = 8
+    rng = np.random.default_rng(17 + d)
+    a, b = (LoopFn.random_trig(rng, Mc, s, d=d) for s in (5, 6))
+    if dtype == np.clongdouble:  # values that double cannot hold
+        a, b = (LoopFn(d, Mc, f.c.astype(dtype) / 3, mmax=f.mmax) for f in (a, b))
+    got = a * b
+    assert got.c.dtype == dtype and got.mmax == Mc
+    err = top = Fraction(0)
+    for q in range(-Mc, Mc + 1):
+        for i in range(d):
+            for j in range(d):
+                re = im = Fraction(0)
+                for p in range(max(-Mc, q - Mc), min(Mc, q + Mc) + 1):
+                    for k in range(d):
+                        ar, ai = _exact(a.c[p + Mc, i, k])
+                        br, bi = _exact(b.c[q - p + Mc, k, j])
+                        re += ar * br - ai * bi
+                        im += ar * bi + ai * br
+                gr, gi = _exact(got.c[q + Mc, i, j])
+                err = max(err, abs(gr - re), abs(gi - im))
+                top = max(top, abs(re), abs(im))
+    assert err <= 4 * np.finfo(dtype).eps * top

@@ -471,3 +471,21 @@ def test_invert_non_unit_constant_wide():
     pw = TruncParams(M=16, F=-6, g=4, wide=True)
     A = Symbol.from_terms(pw, {0: LoopFn.const(1, 16, 3.0), -1: LoopFn.cos(16)})
     assert (compose(A, invert(A)) - Symbol.identity(pw)).norm() <= 1e-18
+
+
+@pytest.mark.parametrize("p", [P, P.with_wide(True), PM], ids=["narrow", "wide", "d2"])
+def test_invert_refuses_non_constant_order_zero(p):
+    a0 = LoopFn.const(p.d, p.M, 1.0) + LoopFn.cos(p.M, amp=0.04, d=p.d)
+    A = Symbol.from_terms(p, {0: a0, -1: LoopFn.sin(p.M, d=p.d)})
+    with pytest.raises(ValueError, match="constant order-0"):
+        invert(A)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_invert_constant_with_wide_support(wide):
+    # a0 = 3 recorded with mode support 4: constancy is read from the values
+    p = TruncParams(M=16, F=-6, g=4, wide=wide)
+    a0 = LoopFn(1, 16, LoopFn.const(1, 16, 3.0).c, mmax=4)
+    A = Symbol.from_terms(p, {0: a0, -1: LoopFn.cos(16)})
+    assert A.sup.tolist() == [1, 4]
+    assert (compose(A, invert(A)) - Symbol.identity(p)).norm() <= (1e-18 if wide else 1e-11)
