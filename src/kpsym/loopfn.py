@@ -15,28 +15,29 @@ import numpy as np
 __all__ = ["LoopFn"]
 
 
+def support(c: np.ndarray) -> int:
+    """Mode support of the coefficients c of shape (2M+1, d, d): the smallest
+    s with every nonzero mode in |m| <= s, 0 when all are zero."""
+    M = len(c) // 2
+    nz = np.flatnonzero(c.any(axis=(1, 2)))
+    return int(max(M - nz[0], nz[-1] - M)) if nz.size else 0
+
+
 class LoopFn:
     """Truncated Fourier series of a d x d matrix-valued function on S^1.
+    The values are the only record of which modes are nonzero: `mmax` is
+    measured from them, and a product leaves the modes beyond the sum of its
+    operands' supports exactly zero."""
 
-    Each instance tracks its mode support `mmax` (smallest band |m| <= mmax
-    containing all nonzero coefficients).  Products and compositions mask
-    their results to the combined support, so modes that are zero by
-    band-limit arithmetic stay exactly zero instead of accumulating rounding
-    noise that the derivative factors (im)^k would then amplify.
-    """
+    __slots__ = ("d", "M", "c")
 
-    __slots__ = ("d", "M", "c", "mmax")
-
-    def __init__(self, d: int, M: int, c: np.ndarray | None = None, real: bool = False,
-                 mmax: int | None = None):
+    def __init__(self, d: int, M: int, c: np.ndarray | None = None, real: bool = False):
         if d < 1 or M < 1:
             raise ValueError(f"need d >= 1 and M >= 1, got d={d}, M={M}")
         self.d = d
         self.M = M
         if c is None:
             c = np.zeros((2 * M + 1, d, d), dtype=complex)
-            if mmax is None:
-                mmax = 0
         else:
             c = np.asarray(c)
             # keep extended-precision coefficients; promote everything else
@@ -44,17 +45,15 @@ class LoopFn:
             if c.shape != (2 * M + 1, d, d):
                 raise ValueError(f"coefficient array must have shape {(2*M+1, d, d)}, got {c.shape}")
         self.c = c
-        if mmax is None:  # measure the support
-            nz = np.flatnonzero(np.any(c != 0, axis=(1, 2)))
-            mmax = max(abs(nz[0] - M), abs(nz[-1] - M)) if nz.size else 0
-        self.mmax = min(int(mmax), M)
-        if self.mmax < M:
-            c[: M - self.mmax] = 0.0
-            c[M + self.mmax + 1 :] = 0.0
         # real-valued f satisfies c_{-m} = conj(c_m)
         err = np.max(np.abs(c - np.conj(c[::-1]))) if real else 0.0
         if err > 1e-12:
             raise ValueError(f"coefficients violate the real-function symmetry by {err:.3e}")
+
+    @property
+    def mmax(self) -> int:
+        """Mode support of the coefficients (see `support`)."""
+        return support(self.c)
 
     # -- constructors ------------------------------------------------------
 
@@ -71,14 +70,12 @@ class LoopFn:
     def from_modes(cls, d: int, M: int, table: dict, real: bool = False) -> "LoopFn":
         """Build from a mode -> coefficient map (scalar entries mean multiples of Id)."""
         c = np.zeros((2 * M + 1, d, d), dtype=complex)
-        support = 0
         for m, v in table.items():
             if abs(m) > M:
                 raise ValueError(f"mode {m} outside cutoff M={M}")
             v = np.asarray(v, dtype=complex)
             c[m + M] = v * np.eye(d) if v.ndim == 0 else v.reshape(d, d)
-            support = max(support, abs(m))
-        return cls(d, M, c, real=real, mmax=support)
+        return cls(d, M, c, real=real)
 
     @classmethod
     def cos(cls, M: int, k: int = 1, amp: float = 1.0, d: int = 1) -> "LoopFn":
@@ -98,7 +95,7 @@ class LoopFn:
             c[m + M] = a
             c[-m + M] = np.conj(a)
         c[M] = amp * rng.standard_normal((d, d)) * np.eye(d)
-        return cls(d, M, c, mmax=mm)
+        return cls(d, M, c)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -110,17 +107,17 @@ class LoopFn:
 
     def __add__(self, other: "LoopFn") -> "LoopFn":
         self._compatible(other)
-        return LoopFn(self.d, self.M, self.c + other.c, mmax=max(self.mmax, other.mmax))
+        return LoopFn(self.d, self.M, self.c + other.c)
 
     def __sub__(self, other: "LoopFn") -> "LoopFn":
         return self + (-other)
 
     def __neg__(self) -> "LoopFn":
-        return LoopFn(self.d, self.M, -self.c, mmax=self.mmax)
+        return LoopFn(self.d, self.M, -self.c)
 
     def __mul__(self, other):
         if not isinstance(other, LoopFn):
-            return LoopFn(self.d, self.M, self.c * other, mmax=self.mmax)
+            return LoopFn(self.d, self.M, self.c * other)
         # direct mode convolution: for each mode p of self, one batched matmul
         # against the modes of other that land in |q| <= M
         self._compatible(other)
@@ -132,7 +129,7 @@ class LoopFn:
             out[lo + p + M : hi + p + M + 1] += np.matmul(
                 np.broadcast_to(self.c[p + M], (hi - lo + 1, d, d)), other.c[lo + M : hi + M + 1]
             )
-        return LoopFn(d, M, out, mmax=sa + sb)
+        return LoopFn(d, M, out)
 
     __rmul__ = __mul__  # number * f; f * g always runs f.__mul__
 
@@ -140,7 +137,7 @@ class LoopFn:
         """k-th derivative: mode m picks up (im)^k."""
         modes = np.arange(-self.M, self.M + 1)
         fac = (1j * modes) ** k
-        return LoopFn(self.d, self.M, self.c * fac[:, None, None], mmax=self.mmax)
+        return LoopFn(self.d, self.M, self.c * fac[:, None, None])
 
     def antideriv_zero_mean(self, tol: float = 1e-9) -> "LoopFn":
         """Antiderivative with zero mean; requires the input mean to vanish."""
@@ -151,12 +148,12 @@ class LoopFn:
         modes[self.M] = 1.0  # avoid 0-division; that row is zeroed below
         out = self.c / (1j * modes)[:, None, None]
         out[self.M] = 0.0
-        return LoopFn(self.d, self.M, out, mmax=self.mmax)
+        return LoopFn(self.d, self.M, out)
 
     def shift_x(self, tau: float) -> "LoopFn":
         """Pull back by the rotation x -> x + tau."""
         modes = np.arange(-self.M, self.M + 1)
-        return LoopFn(self.d, self.M, self.c * np.exp(1j * modes * tau)[:, None, None], mmax=self.mmax)
+        return LoopFn(self.d, self.M, self.c * np.exp(1j * modes * tau)[:, None, None])
 
     # -- evaluation and size -----------------------------------------------
 

@@ -20,8 +20,9 @@ Storage
 -------
 A `Symbol` is one read-only array `c` of shape (orders, 2M+1, d, d) in the
 precision of params.wide (complex or clongdouble): `c[i]` holds the modes
-of the coefficient of order lo + i, whose mode support is `sup[i]` (-1 for
-an absent order; a present order may be all zero, and `prune` drops it).
+of the coefficient of order lo + i, and `c` is trimmed to its first and
+last nonzero order.  The values are the only record of which orders and
+modes are nonzero: `orders()` and `a` list the nonzero orders.
 Operations return new symbols and never write into an operand, so symbols
 are shared, not copied.  `LoopFn` is the type of one coefficient function:
 `Symbol(params, {n: LoopFn})` packs once; `coeff(n)` and the read-only
@@ -32,12 +33,13 @@ through one kernel: a direct block-Toeplitz convolution of Fourier modes
 (`_compose`).
 
 The kernel's index work is cached as a plan (`_Plan`) per signature: d, M,
-floor, deform factor, precision, lowest Leibniz order, and the lowest live
-order and the per-order mode supports of both operands.  Narrow and wide
-mode build and use plans the same way; only the inner convolution differs.
-Plans add their blocks of rows in the order of the Leibniz sum, which keeps
-every result bit-identical to a row-by-row scatter.  The 32 most recently
-used plans are kept; `plan_stats` reports the cache's use.
+floor, deform factor, precision, lowest Leibniz order, the left operand's
+lowest order and pattern of nonzero orders, and the right operand's lowest
+order and number of orders.  Narrow and wide mode build and use plans the
+same way; only the inner convolution differs.  Plans add their blocks of
+rows in the order of the Leibniz sum, which keeps every result
+bit-identical to a row-by-row scatter.  The 32 most recently used plans
+are kept; `plan_stats` reports the cache's use.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .loopfn import LoopFn
+from .loopfn import LoopFn, support
 
 # Machine epsilon of np.longdouble.  Wide mode needs a genuinely extended
 # type (x86's 80-bit format gives 1.08e-19); where longdouble is plain
@@ -128,30 +130,27 @@ class TruncParams:
 
 class Symbol:
     """Finite sum a = sum_{floor <= n} a_n(x) xi^n, packed as described in
-    the module docstring: orders lo .. lo + len(sup) - 1, the first and last
-    of them present."""
+    the module docstring: orders lo .. lo + len(c) - 1, the first and last
+    of them nonzero."""
 
-    __slots__ = ("params", "lo", "sup", "c")
+    __slots__ = ("params", "lo", "c")
 
     def __init__(self, params: TruncParams, a: dict | None = None):
         a = {int(n): f for n, f in (a or {}).items()}
         lo = min(a, default=0)
-        sup = np.full(max(a, default=lo - 1) - lo + 1, -1)
-        c = np.zeros((sup.size, 2 * params.M + 1, params.d, params.d), dtype=params.dtype)
+        c = np.zeros((max(a, default=lo - 1) - lo + 1, 2 * params.M + 1, params.d, params.d), dtype=params.dtype)
         for n, f in a.items():
             if n < params.floor:
                 raise ValueError(f"order {n} below working floor {params.floor}")
             if f.d != params.d or f.M != params.M:
                 raise ValueError("coefficient does not match params (d, M)")
             c[n - lo] = f.c
-            sup[n - lo] = f.mmax
-        self._set(params, lo, sup, c)
+        self._set(params, lo, c)
 
-    def _set(self, params: TruncParams, lo: int, sup: np.ndarray, c: np.ndarray) -> None:
-        present = np.flatnonzero(sup >= 0)
-        i, j = (present[0], present[-1] + 1) if present.size else (0, 0)
-        self.params, self.lo, self.sup, self.c = params, int(lo) + int(i), sup[i:j], c[i:j]
-        self.sup.flags.writeable = False
+    def _set(self, params: TruncParams, lo: int, c: np.ndarray) -> None:
+        live = np.flatnonzero(c.any(axis=(1, 2, 3)))
+        i, j = (live[0], live[-1] + 1) if live.size else (0, 0)
+        self.params, self.lo, self.c = params, int(lo) + int(i), c[i:j]
         self.c.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
@@ -173,7 +172,7 @@ class Symbol:
         d, M = params.d, params.M
         c = np.zeros((1, 2 * M + 1, d, d), dtype=params.dtype)
         c[0, M] = np.asarray(coeff) * np.eye(d) if np.ndim(coeff) == 0 else np.reshape(coeff, (d, d))
-        return _packed(params, n, np.zeros(1, dtype=int), c)
+        return _packed(params, n, c)
 
     @classmethod
     def from_terms(cls, params: TruncParams, terms: dict) -> "Symbol":
@@ -183,8 +182,8 @@ class Symbol:
 
     def coeff(self, n: int) -> LoopFn:
         i = n - self.lo
-        if 0 <= i < self.sup.size and self.sup[i] >= 0:
-            return LoopFn(self.params.d, self.params.M, self.c[i], mmax=self.sup[i])
+        if 0 <= i < len(self.c):
+            return LoopFn(self.params.d, self.params.M, self.c[i])
         return LoopFn.zero(self.params.d, self.params.M)
 
     @property
@@ -193,33 +192,25 @@ class Symbol:
         return MappingProxyType({n: self.coeff(n) for n in self.orders()})
 
     def orders(self) -> list:
-        """Present orders, ascending (including all-zero ones)."""
-        return (self.lo + np.flatnonzero(self.sup >= 0)).tolist()
+        """Orders with a nonzero coefficient, ascending."""
+        return (self.lo + np.flatnonzero(self._live())).tolist()
 
     def _live(self) -> np.ndarray:
-        """Per stored order: present with a nonzero coefficient."""
+        """Per stored order: the coefficient is nonzero."""
         return self.c.any(axis=(1, 2, 3))
 
     @property
     def order(self):
         """Highest order carrying a nonzero coefficient (None for the zero symbol)."""
-        live = np.flatnonzero(self._live())
-        return self.lo + int(live[-1]) if live.size else None
+        return self.lo + len(self.c) - 1 if len(self.c) else None
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
-            return not self.c.any()
+            return not len(self.c)
         return all(v <= tol for v in self.order_norms().values())
 
-    def prune(self) -> "Symbol":
-        """The symbol without its exactly-zero orders."""
-        live = self._live()
-        if live.all():
-            return self
-        return _packed(self.params, self.lo, np.where(live, self.sup, -1), self.c)
-
     def order_norms(self) -> dict:
-        """l2 norm of the coefficient of every present order, ascending."""
+        """l2 norm of the coefficient of every nonzero order, ascending."""
         return {n: float(np.linalg.norm(self.c[n - self.lo])) for n in self.orders()}
 
     def norm(self, floor: int | None = None) -> float:
@@ -250,7 +241,7 @@ class Symbol:
         in its precision."""
         if (params.d, params.M, params.floor) != (self.params.d, self.params.M, self.params.floor):
             raise ValueError("recast needs the same d, M and working floor")
-        return _packed(params, self.lo, self.sup, self.c.astype(params.dtype, copy=False))
+        return _packed(params, self.lo, self.c.astype(params.dtype, copy=False))
 
     def narrow(self) -> "Symbol":
         """Double-precision coefficients, wide mode off."""
@@ -265,23 +256,20 @@ class Symbol:
     def __add__(self, other: "Symbol") -> "Symbol":
         self._compatible(other)
         lo = min(self.lo, other.lo)
-        n = max(self.lo + self.sup.size, other.lo + other.sup.size) - lo
+        n = max(self.lo + len(self.c), other.lo + len(other.c)) - lo
         c = np.zeros((n,) + self.c.shape[1:], dtype=self.c.dtype)
-        sup = np.full(n, -1)
         for X in (self, other):
-            i, j = X.lo - lo, X.lo - lo + X.sup.size
-            c[i:j] += X.c
-            sup[i:j] = np.maximum(sup[i:j], X.sup)
-        return _packed(self.params, lo, sup, c)
+            c[X.lo - lo : X.lo - lo + len(X.c)] += X.c
+        return _packed(self.params, lo, c)
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (-other)
 
     def __neg__(self) -> "Symbol":
-        return _packed(self.params, self.lo, self.sup, -self.c)
+        return _packed(self.params, self.lo, -self.c)
 
     def scale(self, c) -> "Symbol":
-        return _packed(self.params, self.lo, self.sup, (self.c * c).astype(self.c.dtype, copy=False))
+        return _packed(self.params, self.lo, (self.c * c).astype(self.c.dtype, copy=False))
 
     def map_coeffs(self, fn) -> "Symbol":
         """Apply fn to every coefficient (e.g. LoopFn.dx)."""
@@ -290,13 +278,12 @@ class Symbol:
     def mode_filter(self, mmax: int) -> "Symbol":
         """Drop coefficient modes beyond |m| = mmax (spectral cutoff)."""
         keep = np.abs(np.arange(-self.params.M, self.params.M + 1)) <= mmax
-        c = np.where(keep[:, None, None], self.c, 0)
-        return _packed(self.params, self.lo, np.where(self.sup >= 0, np.minimum(self.sup, mmax), -1), c)
+        return _packed(self.params, self.lo, np.where(keep[:, None, None], self.c, 0))
 
     def scale_orders(self, h: float) -> "Symbol":
         """xi -> h.xi: order-n coefficient picks up h^n."""
-        fac = np.array([h ** float(n) for n in range(self.lo, self.lo + self.sup.size)])
-        return _packed(self.params, self.lo, self.sup, self.c * fac[:, None, None, None])
+        fac = np.array([h ** float(n) for n in range(self.lo, self.lo + len(self.c))])
+        return _packed(self.params, self.lo, self.c * fac[:, None, None, None])
 
     def __mul__(self, other):
         if isinstance(other, Symbol):
@@ -313,10 +300,10 @@ class Symbol:
 
     def band(self, lo: int | None = None, hi: int | None = None) -> "Symbol":
         """The orders lo .. hi only (either end open when None)."""
-        n = self.sup.size
+        n = len(self.c)
         i = 0 if lo is None else min(max(lo - self.lo, 0), n)
         j = n if hi is None else min(max(hi + 1 - self.lo, i), n)
-        return _packed(self.params, self.lo + i, self.sup[i:j], self.c[i:j])
+        return _packed(self.params, self.lo + i, self.c[i:j])
 
     def d_part(self) -> "Symbol":
         return self.band(lo=0)
@@ -325,26 +312,16 @@ class Symbol:
         return self.band(hi=-1)
 
 
-def _packed(params: TruncParams, lo: int, sup: np.ndarray, c: np.ndarray) -> Symbol:
-    """A symbol holding `c` itself (which must not be written to afterwards)."""
+def _packed(params: TruncParams, lo: int, c: np.ndarray) -> Symbol:
+    """A symbol holding `c` itself, trimmed to its nonzero end orders (`c`
+    must not be written to afterwards)."""
     out = Symbol.__new__(Symbol)
-    out._set(params, lo, sup, c)
+    out._set(params, lo, c)
     return out
 
 
 def _is_plain_identity(A: Symbol) -> bool:
-    return A.lo == 0 and A.sup.size == 1 and bool(np.array_equal(A.c, Symbol.identity(A.params).c))
-
-
-def _live_supports(A: Symbol):
-    """(lowest live order, mode supports from there to the highest live order
-    with -1 for the orders that are not live), or None for a zero symbol."""
-    live = A._live()
-    idx = np.flatnonzero(live)
-    if not idx.size:
-        return None
-    i, j = idx[0], idx[-1] + 1
-    return A.lo + int(i), tuple(np.where(live[i:j], A.sup[i:j], -1).tolist())
+    return A.lo == 0 and len(A.c) == 1 and bool(np.array_equal(A.c, Symbol.identity(A.params).c))
 
 
 def compose(A: Symbol, B: Symbol) -> Symbol:
@@ -383,22 +360,23 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     exact integer falling factorials.
 
     The index work comes from a cached `_Plan`; per call this fills the
-    derivative stack, runs one gather and one product per left order, adds
-    each (n, k) block of rows into its output orders and masks each order to
-    its support, in the array the result keeps.
+    derivative stack, runs one gather and one product per left order and
+    adds each (n, k) block of rows into its output orders, in the array the
+    result keeps.  Modes and orders no term reaches come out exactly zero.
     """
     params = A.params
     d, M, wide = params.d, params.M, params.wide
-    a, b = _live_supports(A), _live_supports(B)
-    plan = None if a is None or b is None else _plan(d, M, params.floor, params.deform, wide, kmin, *a, *b)
-    if plan is None or plan.kmax < 0:
+    if A.is_zero() or B.is_zero():
+        return Symbol.zero(params)
+    a_live = tuple(A._live().tolist())
+    plan = _plan(d, M, params.floor, params.deform, wide, kmin, A.lo, a_live, B.lo, len(B.c))
+    if plan.kmax < 0:
         return Symbol.zero(params)
 
     L = 2 * M + 1
     dt = params.dtype
-    fb, nB = b[0], len(b[1])
     # (order, column j, mode p, row k)
-    b_modes = np.ascontiguousarray(B.c[fb - B.lo : fb - B.lo + nB].transpose(0, 3, 1, 2))
+    b_modes = np.ascontiguousarray(B.c.transpose(0, 3, 1, 2))
     modes = np.arange(-M, M + 1).astype(dt)
     dpow = (1j * modes) ** np.arange(plan.kmax + 1)[:, None]  # (k, mode)
     bk = (b_modes[None] * dpow[:, None, None, :, None]).reshape(-1, L * d)
@@ -407,12 +385,13 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     if not wide:
         t_idx = _toeplitz_index(d, M)
         apad = np.zeros((4 * M + 1) * d * d, dtype=dt)
-    for n, s, rows, weights, blocks in plan.steps:
+    for n, rows, weights, blocks in plan.steps:
         stack = bk[rows]
         an = A.c[n - A.lo]
         if wide:
             # no BLAS in extended precision: a row loop of np.convolve over
             # the support of a_n beats a longdouble matmul
+            s = support(an)
             ker = an[M - s : M + s + 1, 0, 0]
             conv = np.empty((stack.shape[0], L), dtype=dt)
             for r in range(stack.shape[0]):
@@ -426,26 +405,24 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
             out[t0:t1] += conv[r0:r1]
 
     c = np.ascontiguousarray(out.reshape(plan.nq, d, L, d).transpose(0, 2, 3, 1))
-    c[plan.masked] = 0.0
-    return _packed(params, plan.q_lo, plan.sup, c)
+    return _packed(params, plan.q_lo, c)
 
 
 class _Plan:
-    """What `_compose` needs beyond the coefficient values, for one signature
-    (d, M, floor, deform, wide, kmin, then the lowest live order and the
-    support vector of the left and of the right operand, as `_live_supports`
-    gives them).
+    """What `_compose` needs beyond the coefficient values, for one signature:
+    d, M, floor, deform, wide, kmin, the left operand's lowest order and
+    which of its orders are nonzero, and the right operand's lowest order
+    and number of orders.  Mode supports are not part of it: the kernel
+    convolves every mode.
 
     - kmax: the highest Leibniz order k taken; q_lo, nq: the output order
       range floor .. q_lo + nq - 1.
-    - steps: one (n, mmax of a_n, rows, weights, blocks) per left order n
-      with a term in range.  `rows` indexes the flattened derivative stack
+    - steps: one (n, rows, weights, blocks) per nonzero left order n with a
+      term in range.  `rows` indexes the flattened derivative stack
       (k, right order m, column j) in (k, m) order; `weights` holds the real
       factor eps^k/k! n(n-1)...(n-k+1) of each row; `blocks` holds one
       row (t0, t1, r0, r1) per k: row groups r0:r1 add into output orders
       q_lo + t0 .. q_lo + t1 - 1, a row group being the d rows of one m.
-    - sup: the mode support of every output order (capped at M), -1 where
-      no term lands; masked: per output order, the modes beyond its support.
 
     Blocks are added in the (n, k) order of the Leibniz sum.  Within a block
     the output orders are distinct, so each output coefficient receives its
@@ -454,20 +431,16 @@ class _Plan:
     desk-scale flow take about 0.8 MB.
     """
 
-    __slots__ = ("kmax", "q_lo", "nq", "steps", "sup", "masked")
+    __slots__ = ("kmax", "q_lo", "nq", "steps")
 
-    def __init__(self, d, M, floor, eps, wide, kmin, a_lo, a_sup, b_lo, b_sup):
-        a_orders = [a_lo + i for i, s in enumerate(a_sup) if s >= 0]
-        fb, nB = b_lo, len(b_sup)
+    def __init__(self, d, M, floor, eps, wide, kmin, a_lo, a_live, fb, nB):
+        a_orders = [a_lo + i for i, live in enumerate(a_live) if live]
         nb = fb + nB - 1
         self.kmax = max((n + nb - floor if n < 0 else min(n, n + nb - floor)) for n in a_orders)
         self.q_lo = floor
         self.nq = max(a_orders[-1] + nb - floor + 1, 0)
-        sb = np.maximum(b_sup, 0)
-        support = np.full(self.nq, -1, dtype=int)
         self.steps = []
         for n in a_orders:
-            s = a_sup[n - a_lo]
             kcap = n + nb - floor
             if n >= 0:
                 kcap = min(kcap, n)
@@ -493,16 +466,13 @@ class _Plan:
                 t0 = n - k + m_lo - floor
                 blocks.append((t0, t0 + count, r0, r0 + count))
                 r0 += count
-                support[t0 : t0 + count] = np.maximum(support[t0 : t0 + count], s + sb[m_lo - fb :])
             if blocks:
-                self.steps.append((n, s, np.concatenate(rows), np.concatenate(weights), np.array(blocks, dtype=np.int32)))
-        self.sup = np.minimum(support, M)
-        self.masked = np.abs(np.arange(-M, M + 1))[None, :] > self.sup[:, None]
+                self.steps.append((n, np.concatenate(rows), np.concatenate(weights), np.array(blocks, dtype=np.int32)))
 
 
 # Plans kept at once, the least recently used going first.  A flow
-# right-hand side reuses a handful of signatures thousands of times; the
-# verify phase of a Taylor jet alone makes 63.
+# right-hand side reuses a handful of signatures thousands of times; a
+# desk-scale Taylor jet makes 7.
 _PLAN_CAPACITY = 32
 _plan = lru_cache(maxsize=_PLAN_CAPACITY)(_Plan)
 _compose_calls = 0  # calls of `compose` since the last `clear_plans`
@@ -586,7 +556,7 @@ def invert(A: Symbol) -> Symbol:
     strictly-negative-order part, which is nilpotent below the floor.
     """
     params = A.params
-    pos = A.band(lo=1).prune().orders()
+    pos = A.band(lo=1).orders()
     if pos:
         raise ValueError(f"invert expects an order-0 symbol, found positive orders {pos}")
     a0 = A.band(0, 0)
@@ -596,14 +566,21 @@ def invert(A: Symbol) -> Symbol:
     A_neg = A.s_part()
     if A_neg.is_zero():
         return B0
-    R = compose(B0, A_neg)
-    inv = term = Symbol.identity(params)
-    for _ in range(-params.floor):
-        term = compose(-R, term).prune()
+    minus_R = -compose(B0, A_neg)
+    inv = neumann(Symbol.identity(params), lambda term: compose(minus_R, term), -params.floor)
+    return compose(inv, B0)
+
+
+def neumann(one, step, count: int):
+    """Finite Neumann sum one + step(one) + step(step(one)) + ... of `invert`
+    and `tseries.tinvert`: at most `count` terms after `one`, up to the first zero one."""
+    total = term = one
+    for _ in range(count):
+        term = step(term)
         if term.is_zero():
             break
-        inv = inv + term
-    return compose(inv, B0)
+        total = total + term
+    return total
 
 
 def conj(S: Symbol, A: Symbol) -> Symbol:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .symbol import Symbol, TruncParams, commutator, compose
+from .symbol import Symbol, TruncParams, commutator, compose, neumann
 
 __all__ = [
     "TMono",
@@ -305,15 +305,8 @@ def tinvert(X: TSeries) -> TSeries:
     zero_mono = TMono.zero(params.K)
     if zero_mono in N.terms and not N.terms[zero_mono].is_zero():
         raise ValueError("tinvert expects a unit with constant term 1")
-    out = TSeries.one(params)
-    pw = TSeries.one(params)
-    for _ in range(params.V):
-        pw = tmul(pw, -N)
-        pw.prune()
-        if not pw.terms:
-            break
-        out = out + pw
-    return out
+    minus_N = -N
+    return neumann(TSeries.one(params), lambda pw: tmul(pw, minus_N).prune(), params.V)
 
 
 def tcommutator(X: TSeries, Y: TSeries) -> TSeries:

@@ -9,10 +9,12 @@ from kpsym import (
     LoopFn,
     Symbol,
     TMono,
+    TruncParams,
     TSeries,
     check_t12,
     check_t13,
     check_t23,
+    conj_from,
     ddt,
     equiv_t23,
     eval_taylor,
@@ -23,6 +25,7 @@ from kpsym import (
     taylor_jet,
 )
 from kpsym.kp2 import UPair, jet_dx
+from kpsym.symbol import clear_plans, plan_stats
 
 
 def test_extract_trivial(small_params):
@@ -197,6 +200,19 @@ def test_taylor_jet_matches_hierarchy(small_jet, small_params):
             mono[direction - 1] = j
             want = small_jet.L.term(mono)
             assert (coeffs[j] - want).norm() < 1e-8
+
+
+def test_taylor_jet_reuses_plans():
+    # a desk-scale t2 Taylor jet needs fewer compose plans than the cache
+    # holds, so a repeat finds every plan it needs
+    p = TruncParams()
+    L0 = conj_from(Symbol.from_terms(p, {0: LoopFn.const(1, p.M, 1.0), -1: LoopFn.cos(p.M)}), p)
+    clear_plans()
+    taylor_jet(L0, 2, p.V)
+    first = plan_stats()
+    taylor_jet(L0, 2, p.V)
+    again = plan_stats()
+    assert again["plan_hits"] > first["plan_hits"] and again["plan_misses"] == first["plan_misses"]
 
 
 def test_flow_jet_consistency_dir2(small_jet, small_params):

@@ -148,7 +148,7 @@ def test_mul_matches_exact_convolution(d, dtype):
     rng = np.random.default_rng(17 + d)
     a, b = (LoopFn.random_trig(rng, Mc, s, d=d) for s in (5, 6))
     if dtype == np.clongdouble:  # values that double cannot hold
-        a, b = (LoopFn(d, Mc, f.c.astype(dtype) / 3, mmax=f.mmax) for f in (a, b))
+        a, b = (LoopFn(d, Mc, f.c.astype(dtype) / 3) for f in (a, b))
     got = a * b
     assert got.c.dtype == dtype and got.mmax == Mc
     err = top = Fraction(0)
