@@ -36,10 +36,12 @@ The kernel's index work is cached as a plan (`_Plan`) per signature: d, M,
 floor, deform factor, precision, lowest Leibniz order, the left operand's
 lowest order and pattern of nonzero orders, and the right operand's lowest
 order and number of orders.  Narrow and wide mode build and use plans the
-same way; only the inner convolution differs.  Plans add their blocks of
-rows in the order of the Leibniz sum, which keeps every result
-bit-identical to a row-by-row scatter.  The 32 most recently used plans
-are kept; `plan_stats` reports the cache's use.
+same way; only the inner convolution differs: one BLAS product per left
+order in double precision, one `np.convolve` per left order over the
+measured mode supports in wide mode, where clongdouble has no BLAS.  Plans
+add their blocks of rows in the order of the Leibniz sum, which keeps every
+result bit-identical to a row-by-row scatter.  The 32 most recently used
+plans are kept; `plan_stats` reports the cache's use.
 """
 
 from __future__ import annotations
@@ -120,6 +122,11 @@ class TruncParams:
     def dtype(self):
         """Coefficient type: clongdouble in wide mode, complex otherwise."""
         return np.clongdouble if self.wide else np.complex128
+
+    def real(self, x: float):
+        """x as a real number in the coefficients' precision: longdouble in
+        wide mode, float otherwise."""
+        return np.longdouble(x) if self.wide else float(x)
 
     def with_deform(self, eps: float) -> "TruncParams":
         return replace(self, deform=eps)
@@ -281,8 +288,10 @@ class Symbol:
         return _packed(self.params, self.lo, np.where(keep[:, None, None], self.c, 0))
 
     def scale_orders(self, h: float) -> "Symbol":
-        """xi -> h.xi: order-n coefficient picks up h^n."""
-        fac = np.array([h ** float(n) for n in range(self.lo, self.lo + len(self.c))])
+        """xi -> h.xi: order-n coefficient picks up h^n, formed in the
+        symbol's precision."""
+        h = self.params.real(h)
+        fac = np.array([h**n for n in range(self.lo, self.lo + len(self.c))])
         return _packed(self.params, self.lo, self.c * fac[:, None, None, None])
 
     def __mul__(self, other):
@@ -356,8 +365,10 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     round trip through point values would smear each row's largest
     coefficient across the whole band, and the (im)^k derivative factors of
     later compositions amplify exactly that high-mode junk.  In wide mode
-    (d = 1 only) the convolution runs row by row in extended precision with
-    exact integer falling factorials.
+    (d = 1 only) each left order makes one extended-precision np.convolve of
+    its rows laid end to end, each trimmed to the measured mode supports
+    and padded so that rows do not mix; the weights hold exact integer
+    falling factorials.
 
     The index work comes from a cached `_Plan`; per call this fills the
     derivative stack, runs one gather and one product per left order and
@@ -382,27 +393,38 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     bk = (b_modes[None] * dpow[:, None, None, :, None]).reshape(-1, L * d)
 
     out = np.zeros((plan.nq, d * L * d), dtype=dt)
-    if not wide:
+    if wide:
+        nB = len(B.c)
+        b_sup = np.array([support(b) for b in B.c])
+    else:
         t_idx = _toeplitz_index(d, M)
         apad = np.zeros((4 * M + 1) * d * d, dtype=dt)
     for n, rows, weights, blocks in plan.steps:
-        stack = bk[rows]
         an = A.c[n - A.lo]
         if wide:
-            # no BLAS in extended precision: a row loop of np.convolve over
-            # the support of a_n beats a longdouble matmul
+            # no BLAS in extended precision: one np.convolve per left order.
+            # Each row keeps its middle 2t+1 modes and is followed by 2s
+            # zeros, so segments do not mix; the extra terms of each output
+            # sum are exact zeros, and a segment is never shorter than the
+            # kernel, so the sums run as in a row-by-row np.convolve
             s = support(an)
-            ker = an[M - s : M + s + 1, 0, 0]
-            conv = np.empty((stack.shape[0], L), dtype=dt)
-            for r in range(stack.shape[0]):
-                conv[r] = np.convolve(stack[r], ker)[s : s + L]
+            t = max(int(b_sup[rows % nB].max()), s)
+            u = min(M, t + s)  # output modes |q| <= u
+            seg = np.zeros((len(rows), 2 * t + 1 + 2 * s), dtype=dt)
+            seg[:, : 2 * t + 1] = bk[rows, M - t : M + t + 1]
+            full = np.convolve(seg.ravel(), an[M - s : M + s + 1, 0, 0])
+            conv = full[: seg.size].reshape(seg.shape)[:, t + s - u : t + s + u + 1]
+            conv.real *= weights[:, None]
+            conv.imag *= weights[:, None]
+            dst = out[:, M - u : M + u + 1]
         else:
             apad[M * d * d : (3 * M + 1) * d * d] = an.ravel()
-            conv = stack @ apad[t_idx]
-        conv *= weights[:, None]
-        conv = conv.reshape(-1, d * L * d)
+            conv = bk[rows] @ apad[t_idx]
+            conv *= weights[:, None]
+            conv = conv.reshape(-1, d * L * d)
+            dst = out
         for t0, t1, r0, r1 in blocks.tolist():
-            out[t0:t1] += conv[r0:r1]
+            dst[t0:t1] += conv[r0:r1]
 
     c = np.ascontiguousarray(out.reshape(plan.nq, d, L, d).transpose(0, 2, 3, 1))
     return _packed(params, plan.q_lo, c)

@@ -272,12 +272,14 @@ def eval_t(X: TSeries, t) -> Symbol:
 
 def scale_h(X: TSeries, h: float) -> TSeries:
     """t_n -> h^n t_n together with xi -> h.xi: the monomial picks up h^val and
-    the order-n symbol coefficient picks up h^n."""
+    the order-n symbol coefficient picks up h^n, both formed in the series'
+    precision."""
     if h == 0:
         raise ValueError("scaling factor must be nonzero")
     out = TSeries.zero(X.params)
+    hr = X.params.real(h)
     for mono, sym in X.terms.items():
-        out.terms[mono] = sym.scale_orders(h).scale(h**mono.val)
+        out.terms[mono] = sym.scale_orders(h).scale(hr**mono.val)
     return out
 
 

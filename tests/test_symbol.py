@@ -10,6 +10,9 @@ closed forms for powers of L = xi + u1 xi^-1 + u2 xi^-2:
     [L^2_D, L^3_D] = (3 u1'' + 6 u2') xi + (3 u2'' + u1''' - 6 u1' u1)
 """
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -485,3 +488,89 @@ def test_invert_refuses_non_constant_order_zero(p):
     A = Symbol.from_terms(p, {0: a0, -1: LoopFn.sin(p.M, d=p.d)})
     with pytest.raises(ValueError, match="constant order-0"):
         invert(A)
+
+
+def _exact(z):
+    return Fraction(*z.real.as_integer_ratio()), Fraction(*z.imag.as_integer_ratio())
+
+
+def _leibniz_exact(A, B, kmin, sign=1, out=None):
+    """Terms k >= kmin of A o B in exact rational arithmetic, times sign and
+    added into out: order -> {mode q: (re, im)} with |q| <= M and orders
+    >= floor."""
+    p = A.params
+    Mx, eps = p.M, Fraction(p.deform)
+    out = {} if out is None else out
+    for n in A.orders():
+        a = [_exact(z) for z in A.coeff(n).c[:, 0, 0]]
+        for m in B.orders():
+            b = [_exact(z) for z in B.coeff(m).c[:, 0, 0]]
+            fall = 1
+            for k in range(n + m - p.floor + 1):
+                if k > 0:
+                    fall *= n - (k - 1)
+                if fall == 0:
+                    break
+                if k < kmin:
+                    continue
+                w = sign * fall * eps**k / factorial(k)
+                modes = out.setdefault(n + m - k, {})
+                for q in range(-Mx, Mx + 1):
+                    re, im = modes.get(q, (Fraction(0), Fraction(0)))
+                    for r in range(max(-Mx, q - Mx), min(Mx, q + Mx) + 1):
+                        # a_n[q - r] (i r)^k b_m[r]
+                        br, bi = b[r + Mx]
+                        pk = w * Fraction(r) ** k
+                        br, bi = [(br, bi), (-bi, br), (-br, -bi), (bi, -br)][k % 4]
+                        ar, ai = a[q - r + Mx]
+                        re += pk * (ar * br - ai * bi)
+                        im += pk * (ar * bi + ai * br)
+                    modes[q] = re, im
+    return out
+
+
+def _exact_error(got, ref):
+    """(largest deviation of got from ref, largest |ref| entry) over the
+    orders of either."""
+    Mx = got.params.M
+    err = top = Fraction(0)
+    zero = (Fraction(0), Fraction(0))
+    for n in set(ref) | set(got.orders()):
+        for q in range(-Mx, Mx + 1):
+            gr, gi = _exact(got.coeff(n).c[q + Mx, 0, 0])
+            rr, ri = ref.get(n, {}).get(q, zero)
+            err = max(err, abs(gr - rr), abs(gi - ri))
+            top = max(top, abs(rr), abs(ri))
+    return err, top
+
+
+@pytest.mark.parametrize("deform", [1.0, 1 / 3], ids=["plain", "deform1/3"])
+@pytest.mark.parametrize("op", ["compose", "commutator"])
+def test_wide_kernel_matches_exact_leibniz(op, deform):
+    # right supports 1 and 7 around left supports 3 and 4; right order -1 is
+    # a zero interior order; 7 + 4 > M, so the |q| <= M cut bites
+    p = TruncParams(M=8, F=-3, g=2, wide=True, deform=deform)
+    rng = np.random.default_rng(41)
+    A = Symbol.from_terms(p, {1: LoopFn.random_trig(rng, p.M, 3), 0: LoopFn.random_trig(rng, p.M, 4),
+                              -1: LoopFn.random_trig(rng, p.M, 3)}).scale(1 / 3)
+    B = Symbol.from_terms(p, {0: LoopFn.random_trig(rng, p.M, 1), -1: LoopFn.zero(1, p.M),
+                              -2: LoopFn.random_trig(rng, p.M, 7)}).scale(1 / 7)
+    assert B.lo == -2 and B.orders() == [-2, 0]
+    if op == "compose":
+        got, ref = compose(A, B), _leibniz_exact(A, B, 0)
+    else:
+        got, ref = commutator(A, B), _leibniz_exact(B, A, 1, -1, _leibniz_exact(A, B, 1))
+    assert got.c.dtype == np.clongdouble
+    err, top = _exact_error(got, ref)
+    assert top > 0 and err <= 4 * np.finfo(np.longdouble).eps * top
+
+
+def test_wide_scale_orders_in_extended_precision():
+    # h^n for negative n is inexact in double; wide symbols form it in
+    # extended precision
+    pw = P.with_wide(True)
+    S = Symbol.from_terms(pw, {n: LoopFn.const(1, M, 1.0) for n in range(-12, 1)})
+    got = S.scale_orders(3.0)
+    ref = np.longdouble(3) ** np.arange(-12, 1)
+    rel = np.abs(got.c[:, M, 0, 0] / ref - 1)
+    assert got.c.dtype == np.clongdouble and np.max(rel) <= 4 * np.finfo(np.longdouble).eps

@@ -185,6 +185,17 @@ def test_scale_h_identity_and_inverse():
         scale_h(X, 0.0)
 
 
+def test_scale_h_wide_in_extended_precision():
+    # h^n and h^val are formed in extended precision for a wide series
+    pw = P.with_wide(True)
+    X = TSeries.monomial(pw, (0, 1, 0), Symbol.from_terms(pw, {n: LoopFn.const(1, M, 1.0) for n in range(-9, 1)}))
+    h = np.longdouble(0.1)
+    got = scale_h(X, 0.1).term((0, 1, 0))
+    ref = h ** np.arange(-9, 1) * h**2
+    rel = np.abs(got.c[:, M, 0, 0] / ref - 1)
+    assert got.c.dtype == np.clongdouble and np.max(rel) <= 4 * np.finfo(np.longdouble).eps
+
+
 def test_scale_h_bookkeeping():
     # t1 . xi -> h t1 . (h xi) = h^2 t1 xi
     X = TSeries.monomial(P, (1, 0, 0), Symbol.xi(P))
