@@ -27,7 +27,6 @@ from .tseries import (
     texp,
     tinvert,
     tmul,
-    tpow,
 )
 from .factorization import (
     KPJet,

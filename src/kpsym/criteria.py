@@ -1,14 +1,13 @@
 """The paper's claims as records (name, anchor, value, tol, pass), computed
 from a solved jet, a base operator or symbol-table input, for both the
 `kpsym` commands and the acceptance suite; the callers choose the inputs.
-`JetCriteria` forms the powers L^k of a jet once for the Lax residuals and
-the connection forms; `select` runs only the groups of records asked for.
+`JetCriteria` reads the Lax residuals and the connection forms from the
+powers L^k the jet keeps; `select` runs only the groups of records asked for.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from math import inf
 
 from .factorization import KPJet, _lax_defects, conj_consistency, kp_solve
@@ -16,8 +15,8 @@ from .kp2 import FlowBlowup, check_t12, check_t13, check_t23, equiv_t23, eval_ta
 from .kp2 import flow_delinearized, flows_commute, taylor_jet
 from .loopfn import LoopFn
 from .symbol import Symbol, TruncParams, commutator, power
-from .tseries import Path, TSeries, product_integral, scale_h, texp, tmul, tpowers
-from .zerocurv import _forms_from_powers, ym_value, zs_residual
+from .tseries import Path, TSeries, product_integral, scale_h, texp, tmul
+from .zerocurv import build_Z, ym_value, zs_residual
 
 __all__ = ["Record", "JetCriteria", "symbol_table", "product_integral_rates", "flow_jet_ratio", "flow_commute", "select"]
 
@@ -53,21 +52,12 @@ def symbol_table(params: TruncParams, u1: LoopFn, u2: LoopFn) -> list:
 
 
 class JetCriteria:
-    """The criteria on one solved jet.  Its powers and connection forms are
-    formed on first use and kept here, not on the jet."""
+    """The criteria on one solved jet.  The Lax residuals and the connection
+    forms read the powers L^k that the jet forms once and keeps."""
 
     def __init__(self, jet: KPJet):
         self.jet = jet
         self.params = jet.params
-
-    @cached_property
-    def powers(self) -> list:
-        return list(tpowers(self.jet.L, self.params.K))
-
-    @cached_property
-    def forms(self) -> tuple:
-        """(Z_D, Z_S) as `zerocurv.build_Z` gives them."""
-        return _forms_from_powers(self.powers)
 
     def factorization(self) -> list:
         """S o U - Y, the negative orders of Y, and the growth bounds of S, Y, L."""
@@ -102,8 +92,8 @@ class JetCriteria:
         """Per flow n, the residual of dL/dt_n = [(L^n)_D, L] = -[(L^n)_S, L]
         and the gap between the two right-hand sides; then S L0 S^-1 - Y L0 Y^-1."""
         out = []
-        for n, Ln in enumerate(self.powers, 1):
-            residual, gap = _lax_defects(self.jet.L, Ln, n)
+        for n in range(1, self.params.K + 1):
+            residual, gap = _lax_defects(self.jet, n)
             out += [_at_most(f"kp/residual-t{n}", "kp-residual", residual, 1e-9),
                     _at_most(f"kp/ds-gap-t{n}", "kp-residual", gap, 1e-9)]
         return out + [_at_most("kp/conj-consistency", "kp-residual", conj_consistency(self.jet), 1e-9)]
@@ -111,7 +101,7 @@ class JetCriteria:
     def zero_curvature(self) -> list:
         """Zakharov-Shabat residuals of every time pair for Z_D (sign +1) and
         pi_S(L^k) (sign -1), and the sign-flipped Z_D equation, which must fail."""
-        Z_D, Z_S = self.forms
+        Z_D, Z_S = build_Z(self.jet)
         raw_S, K = -Z_S, self.params.K
         out = []
         for m in range(1, K + 1):
@@ -125,7 +115,7 @@ class JetCriteria:
         """The Yang-Mills value (entry (2, 3), cube [-k, k]^n) of Z_S, passing
         when it and every perturbed value are nonnegative, and its largest
         ratio to the value after one of `count` random order -1 bumps at t_2."""
-        params, Z_S = self.params, self.forms[1]
+        params, Z_S = self.params, build_Z(self.jet)[1]
         base = ym_value(Z_S, k, n, 2, 3, Mr, Q)
         values = []
         for _ in range(count):

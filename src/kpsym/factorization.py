@@ -8,17 +8,20 @@ With U = sum_v U_v and S = 1 + sum_{v >= 1} S_v, the recursion
     Y_v = pi_D(W_v),   S_v = -pi_S(W_v)
 
 enforces S o U = Y level by level; the splitting makes the pair unique.
-The solver conjugates the base operator by both S and Y and keeps the two
-results so their agreement can be checked independently.
+The solver conjugates the base operator by S.  The jet forms the second
+route, conjugation by Y, on first read, so the agreement of the two routes
+stays an independent check; it also keeps the powers of L that the checks
+read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .loopfn import LoopFn
 from .symbol import Symbol, TruncParams, compose, conj
-from .tseries import TMono, TSeries, conj_t, ddt, tcommutator, texp, tpow
+from .tseries import TMono, TSeries, conj_t, ddt, tcommutator, texp, tpowers
 
 __all__ = [
     "KPJet",
@@ -32,11 +35,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KPJet:
     """A solved hierarchy instance: dressing datum, base operator, flow
-    exponential, factorization pair, and the evolved operator computed
-    through both conjugation routes."""
+    exponential, factorization pair, and the evolved operator L = S L0 S^{-1}.
+
+    What the checks derive from L0, Y and L is formed on first read and kept
+    on the frozen jet, so it can never outlive the fields it came from."""
 
     S0: Symbol
     L0: Symbol
@@ -44,11 +49,20 @@ class KPJet:
     S: TSeries
     Y: TSeries
     L: TSeries
-    L_via_Y: TSeries = field(repr=False, default=None)
 
     @property
     def params(self) -> TruncParams:
         return self.L0.params
+
+    @cached_property
+    def L_via_Y(self) -> TSeries:
+        """The second conjugation route Y L0 Y^{-1}."""
+        return conj_t(self.Y, self.L0)
+
+    @cached_property
+    def powers(self) -> list:
+        """[L, L^2, ..., L^K], each the product of the one before with L."""
+        return list(tpowers(self.L, self.params.K))
 
 
 def build_U(L0: Symbol, params: TruncParams, time_weights=None, lead: float = 1.0) -> TSeries:
@@ -118,9 +132,10 @@ def kp_solve(S0: Symbol, params: TruncParams, time_weights=None, xi_scale: float
     """Solve the hierarchy jet for a dressing S0 = 1 + (orders <= -1).
 
     The base operator is S0 o (xi_scale . xi) o S0^{-1}; the evolved operator
-    is computed as both S L0 S^{-1} and Y L0 Y^{-1} (stored separately so the
-    agreement is a checkable statement, not a definition).  `xi_scale` and
-    `time_weights` support the rescaled calculus used by the covariance check.
+    is L = S L0 S^{-1}.  The jet forms Y L0 Y^{-1} only when a check reads it,
+    so the agreement of the two routes stays a checkable statement, not a
+    definition.  `xi_scale` and `time_weights` support the rescaled calculus
+    used by the covariance check.
     """
     if (S0.order or 0) > 0:
         raise ValueError("dressing must be an order-0 symbol")
@@ -129,9 +144,7 @@ def kp_solve(S0: Symbol, params: TruncParams, time_weights=None, xi_scale: float
     L0 = conj_from(S0, params, xi_scale)
     U = build_U(L0, params, time_weights=time_weights, lead=xi_scale)
     S, Y = mulase_factorize(U)
-    L = conj_t(S, L0)
-    L_via_Y = conj_t(Y, L0)
-    return KPJet(S0=S0, L0=L0, U=U, S=S, Y=Y, L=L, L_via_Y=L_via_Y)
+    return KPJet(S0=S0, L0=L0, U=U, S=S, Y=Y, L=conj_t(S, L0))
 
 
 def conj_from(S0: Symbol, params: TruncParams, xi_scale: float = 1.0) -> Symbol:
@@ -145,23 +158,24 @@ def kp_residual(jet: KPJet, n: int) -> float:
     Also computed with the right-hand side -[(L^n)_S, L]; the returned value
     is the max of the two residual norms, so it certifies both forms at once.
     """
-    params = jet.params
-    if not 1 <= n <= params.K:
-        raise ValueError(f"flow index {n} outside [1, {params.K}]")
-    return _lax_defects(jet.L, tpow(jet.L, n), n)[0]
+    return _lax_defects(jet, n)[0]
 
 
 def ds_rhs_gap(jet: KPJet, n: int) -> float:
     """Disagreement between the two right-hand-side forms [(L^n)_D, L] and
     -[(L^n)_S, L] over valuations <= V - n."""
-    return _lax_defects(jet.L, tpow(jet.L, n), n)[1]
+    return _lax_defects(jet, n)[1]
 
 
-def _lax_defects(L: TSeries, Ln: TSeries, n: int) -> tuple:
-    """(residual, gap) of the flow t_n from L and its power Ln = L^n, over
-    valuations <= V - n: the larger defect of dL/dt_n = [(L^n)_D, L] and
-    dL/dt_n = -[(L^n)_S, L], and the norm of [(L^n)_D, L] + [(L^n)_S, L].
-    Each bracket is formed once and serves both values."""
+def _lax_defects(jet: KPJet, n: int) -> tuple:
+    """(residual, gap) of the flow t_n, 1 <= n <= K, over valuations <= V - n:
+    the larger defect of dL/dt_n = [(L^n)_D, L] and dL/dt_n = -[(L^n)_S, L],
+    and the norm of [(L^n)_D, L] + [(L^n)_S, L].  Each bracket is formed once
+    and serves both values."""
+    K = jet.params.K
+    if not 1 <= n <= K:
+        raise ValueError(f"flow index {n} outside [1, {K}]")
+    L, Ln = jet.L, jet.powers[n - 1]
     cap = L.params.V - n
     rhs_d = tcommutator(Ln.d_part(), L)
     rhs_s = tcommutator(Ln.s_part(), L)

@@ -203,30 +203,23 @@ def taylor_jet(L0: Symbol, n: int, degree: int) -> list:
     from the recursion (j+1) L_{j+1} = coefficient_j of -[(L^n)_S, L].
 
     This is the formal (series) solution of the flow in that one direction,
-    and on overlapping valuations it agrees with the hierarchy jet.
+    and on overlapping valuations it agrees with the hierarchy jet.  The
+    coefficients of L(s)^2, ..., L(s)^n grow by one degree per step:
+    (L^k)_j = sum_a (L^{k-1})_a o L_{j-a}.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    zero = Symbol.zero(L0.params)
     coeffs = [L0]
+    powers = [coeffs] + [[] for _ in range(n - 1)]  # coefficients of L(s)^1..L(s)^n
     for j in range(degree):
-        pw = _poly_power(coeffs, n, j)
-        rhs = Symbol.zero(L0.params)
+        for prev, pw in zip(powers, powers[1:]):
+            pw.append(sum((compose(prev[a], coeffs[j - a]) for a in range(j + 1)), zero))
+        rhs = zero
         for a in range(j + 1):
-            rhs = rhs - commutator(pw[a].s_part(), coeffs[j - a])
+            rhs = rhs - commutator(powers[-1][a].s_part(), coeffs[j - a])
         coeffs.append(rhs.scale(1.0 / (j + 1)))
     return coeffs
-
-
-def _poly_power(coeffs: list, n: int, cap: int) -> list:
-    """Coefficients 0..cap of (sum_j coeffs[j] s^j)^n."""
-    out = coeffs[: cap + 1]
-    for _ in range(n - 1):
-        nxt = [Symbol.zero(coeffs[0].params) for _ in range(cap + 1)]
-        for a, ca in enumerate(out):
-            for b in range(cap + 1 - a):
-                nxt[a + b] = nxt[a + b] + compose(ca, coeffs[b])
-        out = nxt
-    return out
 
 
 def eval_taylor(coeffs: list, t: float) -> Symbol:

@@ -23,25 +23,11 @@ __all__ = [
     "eval_t",
     "scale_h",
     "product_integral",
-    "tpow",
     "tpowers",
     "tinvert",
     "tcommutator",
     "conj_t",
-    "set_growth_checks",
 ]
-
-# When enabled, tmul/texp/ddt assert the coefficient-order growth bound
-# (base order params.N) on their results; the stricter per-object bases are
-# asserted explicitly where the objects are built.
-_CHECK_GROWTH = False
-
-
-def set_growth_checks(enabled: bool) -> bool:
-    global _CHECK_GROWTH
-    prev = _CHECK_GROWTH
-    _CHECK_GROWTH = enabled
-    return prev
 
 
 class TMono(tuple):
@@ -215,10 +201,7 @@ def _cauchy(X: TSeries, Y: TSeries, product) -> TSeries:
 
 def tmul(X: TSeries, Y: TSeries) -> TSeries:
     """Cauchy product over monomials; coefficients compose; val > V is dropped."""
-    out = _cauchy(X, Y, compose)
-    if _CHECK_GROWTH:
-        out.assert_growth(base_order=X.params.N)
-    return out
+    return _cauchy(X, Y, compose)
 
 
 def texp(X: TSeries) -> TSeries:
@@ -236,8 +219,6 @@ def texp(X: TSeries) -> TSeries:
         if not pw.terms:
             break
         out = out + pw.scale(one / factorial(k))
-    if _CHECK_GROWTH:
-        out.assert_growth(base_order=params.N)
     return out
 
 
@@ -254,8 +235,6 @@ def ddt(X: TSeries, n: int) -> TSeries:
         lowered = list(mono)
         lowered[n - 1] = e - 1
         out.terms[TMono(lowered)] = sym.scale(float(e))
-    if _CHECK_GROWTH:
-        out.assert_growth(base_order=params.N)
     return out
 
 
@@ -283,16 +262,10 @@ def scale_h(X: TSeries, h: float) -> TSeries:
     return out
 
 
-def tpow(X: TSeries, n: int) -> TSeries:
-    for out in tpowers(X, n):
-        pass
-    return out
-
-
 def tpowers(X: TSeries, n: int):
     """Yield X, X^2, ..., X^n, each the product of the one before with X."""
     if n <= 0:
-        raise ValueError(f"tpow expects a positive exponent, got {n}")
+        raise ValueError(f"tpowers expects a positive exponent, got {n}")
     out = X.copy()
     yield out
     for _ in range(n - 1):

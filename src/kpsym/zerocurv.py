@@ -20,7 +20,7 @@ import numpy as np
 
 from .factorization import KPJet
 from .symbol import realize_matrix
-from .tseries import TSeries, ddt, eval_t, tcommutator, tpowers
+from .tseries import TSeries, ddt, eval_t, tcommutator
 
 __all__ = [
     "ConnForm",
@@ -98,14 +98,9 @@ class Curvature2Form:
 
 def build_Z(jet: KPJet) -> tuple:
     """(Z_D, Z_S) with components pi_D(L^k) and -pi_S(L^k), k = 1..K, so that
-    Z_D,k - Z_S,k = L^k."""
-    return _forms_from_powers(tpowers(jet.L, jet.params.K))
-
-
-def _forms_from_powers(powers) -> tuple:
-    """(Z_D, Z_S) from the powers L, L^2, ..., L^K, taken one at a time."""
+    Z_D,k - Z_S,k = L^k, read from the jet's powers."""
     zd, zs = {}, {}
-    for k, pw in enumerate(powers, 1):
+    for k, pw in enumerate(jet.powers, 1):
         zd[k], zs[k] = pw.d_part(), -pw.s_part()
     return ConnForm(zd), ConnForm(zs)
 

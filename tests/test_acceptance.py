@@ -13,7 +13,7 @@ import pytest
 
 from kpsym import LoopFn, Symbol, TMono, TSeries, TruncParams, kp_solve, texp, tmul
 from kpsym.criteria import JetCriteria, flow_commute, flow_jet_ratio, product_integral_rates, symbol_table
-from kpsym.tseries import set_growth_checks, ddt
+from kpsym.tseries import ddt
 from test_factorization import dense_oracle, dressing
 
 
@@ -143,40 +143,47 @@ def test_criterion_8_direction_t3(flow_base):
 
 def test_criterion_9_structural_invariants():
     params = TruncParams(M=8, F=-4, N=6, g=4, V=3, K=3)
-    prev = set_growth_checks(True)
-    try:
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            X = TSeries.zero(params)
-            X.set_term((0, 0, 0), Symbol.identity(params))
-            for mono in [(1, 0, 0), (0, 1, 0), (2, 0, 0)]:
-                val = TMono(mono).val
-                orders = {
-                    n: LoopFn.random_trig(rng, params.M, 2)
-                    for n in range(-2, min(val, 1) + 1)
-                }
-                X.set_term(mono, Symbol(params, orders))
-            Y = tmul(X, X)  # growth asserted internally
-            Y.assert_growth(0)
-            E = texp(X - TSeries.one(params))
-            E.assert_growth(0)
-            # projector algebra, exact
-            A = Symbol(
-                params,
-                {n: LoopFn.random_trig(rng, params.M, 2) for n in (-2, -1, 0, 1)},
-            )
-            D, S = A.d_part(), A.s_part()
-            assert ((D + S) - A).norm(floor=params.floor) == 0.0
-            assert D.s_part().is_zero() and S.d_part().is_zero()
-            assert (D.d_part() - D).is_zero() and (S.s_part() - S).is_zero()
-            # mixed partials, exact
-            for n, m in ((1, 2), (2, 3)):
-                assert (ddt(ddt(X, n), m) - ddt(ddt(X, m), n)).norm() == 0.0
-            # parity by construction: one coefficient per order
-            x, xi = rng.uniform(0, 2 * np.pi), complex(rng.uniform(0.5, 2.0))
-            lhs = A.eval_sym(x, -xi)
-            rhs = sum((-1.0) ** n * A.coeff(n).eval_at(x) * xi**n for n in A.orders())
-            assert np.allclose(np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex))
-    finally:
-        set_growth_checks(prev)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        X = TSeries.zero(params)
+        X.set_term((0, 0, 0), Symbol.identity(params))
+        for mono in [(1, 0, 0), (0, 1, 0), (2, 0, 0)]:
+            val = TMono(mono).val
+            orders = {
+                n: LoopFn.random_trig(rng, params.M, 2)
+                for n in range(-2, min(val, 1) + 1)
+            }
+            X.set_term(mono, Symbol(params, orders))
+        Y = tmul(X, X)
+        Y.assert_growth(params.N)
+        Y.assert_growth(0)
+        # the powers (X - 1)^k, k <= V, that texp sums, and its result
+        N, pw = X - TSeries.one(params), TSeries.one(params)
+        for _ in range(params.V):
+            pw = tmul(pw, N)
+            pw.assert_growth(params.N)
+        E = texp(N)
+        E.assert_growth(params.N)
+        E.assert_growth(0)
+        # projector algebra, exact
+        A = Symbol(
+            params,
+            {n: LoopFn.random_trig(rng, params.M, 2) for n in (-2, -1, 0, 1)},
+        )
+        D, S = A.d_part(), A.s_part()
+        assert ((D + S) - A).norm(floor=params.floor) == 0.0
+        assert D.s_part().is_zero() and S.d_part().is_zero()
+        assert (D.d_part() - D).is_zero() and (S.s_part() - S).is_zero()
+        # mixed partials, exact
+        for n, m in ((1, 2), (2, 3)):
+            parts = [ddt(X, n), ddt(X, m)]
+            parts += [ddt(parts[0], m), ddt(parts[1], n)]
+            for part in parts:
+                part.assert_growth(params.N)
+            assert (parts[2] - parts[3]).norm() == 0.0
+        # parity by construction: one coefficient per order
+        x, xi = rng.uniform(0, 2 * np.pi), complex(rng.uniform(0.5, 2.0))
+        lhs = A.eval_sym(x, -xi)
+        rhs = sum((-1.0) ** n * A.coeff(n).eval_at(x) * xi**n for n in A.orders())
+        assert np.allclose(np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex))
     outcome(9, True, "growth, projector, mixed-partial, parity assertions over 100 seeds")

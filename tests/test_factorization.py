@@ -6,6 +6,8 @@ all smoothing-direction coefficients and solved with LAPACK, without using
 the recursion's ordering.
 """
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from kpsym import (
     build_U,
     compose,
     conj_consistency,
+    conj_t,
     ds_rhs_gap,
     kp_residual,
     kp_solve,
@@ -26,6 +29,8 @@ from kpsym import (
     tinvert,
     tmul,
 )
+from kpsym.symbol import plan_stats
+from kpsym.tseries import tpowers
 
 
 def dressing(params, entries):
@@ -183,20 +188,43 @@ def test_kp_residual_small(small_jet, small_params):
         kp_residual(small_jet, 4)
 
 
+def test_flow_index_outside_range_is_rejected(small_jet, small_params):
+    # the powers are indexed by n - 1, so n = 0 must not read L^K
+    for n in (0, small_params.K + 1):
+        for defect in (kp_residual, ds_rhs_gap):
+            with pytest.raises(ValueError):
+                defect(small_jet, n)
+
+
+def test_second_conjugation_route_is_formed_on_first_read(small_params):
+    jet = kp_solve(dressing(small_params, {-1: LoopFn.cos(16)}), small_params)
+    before = plan_stats()["compose_calls"]
+    value = conj_consistency(jet)
+    assert plan_stats()["compose_calls"] > before
+    assert value == (jet.L - conj_t(jet.Y, jet.L0)).norm()
+
+
+def test_jet_powers_follow_its_operator(small_jet):
+    first = small_jet.powers
+    X = small_jet.L.scale(0.5)
+    moved = replace(small_jet, L=X)
+    assert small_jet.powers is first
+    for got, want in zip(moved.powers, tpowers(X, small_jet.params.K), strict=True):
+        assert got.terms.keys() == want.terms.keys()
+        assert all(np.array_equal(got.terms[m].c, want.terms[m].c) for m in want.terms)
+    with pytest.raises(FrozenInstanceError):
+        small_jet.L = X
+
+
 def test_conj_consistency_and_sensitivity(small_jet, small_params):
     assert conj_consistency(small_jet) < 1e-7
     # corrupting one coefficient of Y by 1e-3 must be detected
-    from kpsym.tseries import conj_t
-
     jet = small_jet
     Y_bad = jet.Y.copy()
     mono = TMono((1, 0, 0))
     bump = Symbol.from_terms(small_params, {1: LoopFn.const(1, 16, 1e-3)})
     Y_bad.terms[mono] = Y_bad.terms[mono] + bump
-    corrupted = KPJet(
-        S0=jet.S0, L0=jet.L0, U=jet.U, S=jet.S, Y=Y_bad,
-        L=jet.L, L_via_Y=conj_t(Y_bad, jet.L0),
-    )
+    corrupted = KPJet(S0=jet.S0, L0=jet.L0, U=jet.U, S=jet.S, Y=Y_bad, L=jet.L)
     assert conj_consistency(corrupted) > 1e-4
 
 

@@ -202,6 +202,14 @@ def test_taylor_jet_matches_hierarchy(small_jet, small_params):
             assert (coeffs[j] - want).norm() < 1e-8
 
 
+def test_taylor_jet_grows_its_powers_one_degree_per_step(small_jet):
+    # degree j of L(s)^k takes j + 1 products: 21 per power to degree 6
+    for direction in (1, 2, 3):
+        before = plan_stats()["compose_calls"]
+        taylor_jet(small_jet.L0, direction, 6)
+        assert plan_stats()["compose_calls"] - before == 21 * (direction - 1)
+
+
 def test_taylor_jet_reuses_plans():
     # a desk-scale t2 Taylor jet needs fewer compose plans than the cache
     # holds, so a repeat finds every plan it needs

@@ -21,7 +21,6 @@ from kpsym import (
     tinvert,
     tmul,
 )
-from kpsym.tseries import set_growth_checks
 
 P = TruncParams(M=16, F=-6, g=6, V=4, K=3)
 M = P.M
@@ -203,16 +202,12 @@ def test_scale_h_bookkeeping():
     assert (got.term((1, 0, 0)) - Symbol.xi(P, 1, 9.0)).is_zero(1e-12)
 
 
-def test_growth_checks_toggle():
-    prev = set_growth_checks(True)
-    try:
-        X = TSeries.monomial(P, (1, 0, 0), Symbol.from_terms(P, {-1: LoopFn.cos(M)}))
-        tmul(X, X)  # growth-compliant; must not raise
-        bad = TSeries.monomial(P, (1, 0, 0), Symbol.xi(P, P.N + 2))
-        with pytest.raises(AssertionError):
-            tmul(bad, TSeries.one(P))
-    finally:
-        set_growth_checks(prev)
+def test_growth_check_of_a_product():
+    X = TSeries.monomial(P, (1, 0, 0), Symbol.from_terms(P, {-1: LoopFn.cos(M)}))
+    tmul(X, X).assert_growth(P.N)  # growth-compliant; must not raise
+    bad = TSeries.monomial(P, (1, 0, 0), Symbol.xi(P, P.N + 2))
+    with pytest.raises(AssertionError):
+        tmul(bad, TSeries.one(P)).assert_growth(P.N)
 
 
 def test_product_integral_zero_path():

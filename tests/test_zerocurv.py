@@ -11,15 +11,27 @@ from kpsym import (
     TSeries,
     build_Z,
     curvature,
+    kp_residual,
     kp_solve,
     ym_value,
     zs_residual,
 )
+from kpsym.criteria import JetCriteria
+from kpsym.symbol import plan_stats
 
 
 @pytest.fixture(scope="module")
 def forms(small_jet):
     return build_Z(small_jet)
+
+
+def test_forms_reuse_the_powers_of_the_residuals(small_jet, small_params):
+    for n in range(1, small_params.K + 1):
+        kp_residual(small_jet, n)
+    before = plan_stats()["compose_calls"]
+    build_Z(small_jet)
+    JetCriteria(small_jet).zero_curvature()
+    assert plan_stats()["compose_calls"] == before
 
 
 def test_build_Z_trivial(small_params):
