@@ -184,11 +184,6 @@ def test_kp_residual_small(small_jet, small_params):
     for n in (1, 2, 3):
         assert kp_residual(small_jet, n) < 1e-7
         assert ds_rhs_gap(small_jet, n) < 1e-8
-    with pytest.raises(ValueError):
-        kp_residual(small_jet, 4)
-
-
-def test_flow_index_outside_range_is_rejected(small_jet, small_params):
     # the powers are indexed by n - 1, so n = 0 must not read L^K
     for n in (0, small_params.K + 1):
         for defect in (kp_residual, ds_rhs_gap):
