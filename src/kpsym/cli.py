@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cache, partial
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,19 @@ class RunConfig:
 
     def validate(self, origin: str = "<config>") -> None:
         """Reject what the commands could not run, building its parts as they do."""
+        # JSON's true and false arrive as bool, a subclass of int
+        for key in ("d", "M", "F", "N", "V", "K", "g", "Mr", "Q", "cube_n", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{origin}: {key} must be an integer, got {value!r}")
+        for key in ("cube_k", "flow_t_end"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+                raise ConfigError(f"{origin}: {key} must be a finite real number, got {value!r}")
+        if not isinstance(self.wide, bool):
+            raise ConfigError(f"{origin}: wide must be true or false, got {self.wide!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"{origin}: out_dir must be a path string, got {self.out_dir!r}")
         try:
             params = self.params()
             for order, _ in self.s0:
@@ -92,8 +106,14 @@ class RunConfig:
             raise ConfigError(f"{origin}: {e}")
         if self.K < 3:
             raise ConfigError(f"{origin}: K must be >= 3 for the KP-II pipelines")
-        if self.Mr > self.M:
-            raise ConfigError(f"{origin}: Mr must not exceed M")
+        if not 1 <= self.Mr <= self.M:
+            raise ConfigError(f"{origin}: Mr must lie in [1, M]")
+        if self.Q < 1:
+            raise ConfigError(f"{origin}: Q must be >= 1")
+        if self.cube_k <= 0:
+            raise ConfigError(f"{origin}: cube_k must be positive")
+        if not 1 <= self.cube_n <= self.K:
+            raise ConfigError(f"{origin}: cube_n must lie in [1, K]")
         if self.flow_t_end <= 0:
             raise ConfigError(f"{origin}: flow_t_end must be positive")
 

@@ -140,7 +140,7 @@ class JetCriteria:
         scaled = scale_h(jet.L, h)
         params_h = params.with_deform(1.0 / h)
         S0h = jet.S0.scale_orders(h).recast(params_h)
-        jet_h = kp_solve(S0h, params_h, xi_scale=h, time_weights=[h**n for n in range(1, params.K + 1)])
+        jet_h = kp_solve(S0h, params_h)
         diff = 0.0
         for mono in set(scaled.terms) | set(jet_h.L.terms):
             gap = scaled.term(mono) - jet_h.L.term(mono).recast(params)

@@ -65,28 +65,23 @@ class KPJet:
         return list(tpowers(self.L, self.params.K))
 
 
-def build_U(L0: Symbol, params: TruncParams, time_weights=None, lead: float = 1.0) -> TSeries:
-    """exp(sum_n w_n t_n L0^n) for n = 1..K (w_n = 1 by default).
+def build_U(L0: Symbol, params: TruncParams) -> TSeries:
+    """exp(sum_n h^n t_n L0^n) for n = 1..K, with h = params.h.
 
-    L0 must have order 1 with constant leading coefficient `lead` (1 for the
-    plain calculus, the derivation scale for rescaled runs); the growth bound
-    holds automatically because the valuation of t_n matches the order of
-    L0^n.
+    L0 must have order 1 with the constant leading coefficient h of the
+    calculus (1 for the plain one); the growth bound holds automatically
+    because the valuation of t_n matches the order of L0^n.
     """
     if L0.order != 1:
         raise ValueError(f"base operator must have order 1, got {L0.order}")
-    gap = L0.coeff(1) - LoopFn.const(params.d, params.M, lead)
-    if gap.norm() > 1e-9:
-        raise ValueError(f"base operator must have constant leading coefficient {lead}")
-    if time_weights is None:
-        time_weights = [1.0] * params.K
-    if len(time_weights) != params.K:
-        raise ValueError(f"need {params.K} time weights")
+    h = params.h
+    if (L0.coeff(1) - LoopFn.const(params.d, params.M, h)).norm() > 1e-9:
+        raise ValueError(f"base operator must have constant leading coefficient h = {h}")
     gen = TSeries.zero(params)
     pw = None
     for n in range(1, params.K + 1):
         pw = L0 if pw is None else compose(pw, L0)
-        gen.set_term(TMono.unit(params.K, n), pw.scale(time_weights[n - 1]))
+        gen.set_term(TMono.unit(params.K, n), pw.scale(h**n))
     return texp(gen)
 
 
@@ -128,28 +123,30 @@ def mulase_factorize(U: TSeries) -> tuple:
     return S, Y
 
 
-def kp_solve(S0: Symbol, params: TruncParams, time_weights=None, xi_scale: float = 1.0) -> KPJet:
-    """Solve the hierarchy jet for a dressing S0 = 1 + (orders <= -1).
+def kp_solve(S0: Symbol, params: TruncParams) -> KPJet:
+    """Solve the hierarchy jet for a dressing S0 = 1 + (orders <= -1) in the
+    calculus of `params`: kp_solve(S0, p.with_deform(1/h)) solves the
+    h-rescaled jet.
 
-    The base operator is S0 o (xi_scale . xi) o S0^{-1}; the evolved operator
+    The base operator is L0 = S0 o (h.xi) o S0^{-1}; the evolved operator
     is L = S L0 S^{-1}.  The jet forms Y L0 Y^{-1} only when a check reads it,
     so the agreement of the two routes stays a checkable statement, not a
-    definition.  `xi_scale` and `time_weights` support the rescaled calculus
-    used by the covariance check.
+    definition.
     """
     if (S0.order or 0) > 0:
         raise ValueError("dressing must be an order-0 symbol")
     if (S0.coeff(0) - Symbol.identity(params).coeff(0)).norm() > 1e-12:
         raise ValueError("dressing must be of the form 1 + (orders <= -1)")
-    L0 = conj_from(S0, params, xi_scale)
-    U = build_U(L0, params, time_weights=time_weights, lead=xi_scale)
+    L0 = conj_from(S0, params)
+    U = build_U(L0, params)
     S, Y = mulase_factorize(U)
     return KPJet(S0=S0, L0=L0, U=U, S=S, Y=Y, L=conj_t(S, L0))
 
 
-def conj_from(S0: Symbol, params: TruncParams, xi_scale: float = 1.0) -> Symbol:
-    """Base operator S0 o (xi_scale . xi) o S0^{-1}."""
-    return conj(S0, Symbol.xi(params, 1, xi_scale))
+def conj_from(S0: Symbol, params: TruncParams) -> Symbol:
+    """Base operator S0 o (h.xi) o S0^{-1}, h = params.h: the symbol of d/dx
+    in the calculus of `params`."""
+    return conj(S0, Symbol.xi(params, 1, params.h))
 
 
 def kp_residual(jet: KPJet, n: int) -> float:

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+FILTER_FRAC = 0.75  # flow states keep the modes |m| <= FILTER_FRAC * M
+
+
 class FlowBlowup(RuntimeError):
     pass
 
@@ -73,13 +76,12 @@ def jet_dx(X: TSeries, k: int = 1) -> TSeries:
     return X.map_coeffs(lambda s: s.map_coeffs(lambda f: f.dx(k)))
 
 
-def extract_u(L, sigma0_tol: float = 1e-8) -> UPair:
+def extract_u(L) -> UPair:
     """u_{-1} and u_{-2} of an order-1 operator with unit leading coefficient.
 
-    Accepts a plain Symbol (numeric state) or a TSeries jet; complains if the
-    leading coefficient is not 1 and warns through ValueError only for that
-    structural violation (a nonzero order-0 part is tolerated up to
-    sigma0_tol).
+    Accepts a plain Symbol (numeric state) or a TSeries jet; raises
+    ValueError only if the leading coefficient is not 1 (a nonzero order-0
+    part of a Symbol draws a warning above norm 1e-8).
     """
     if isinstance(L, TSeries):
         params = L.params
@@ -91,7 +93,7 @@ def extract_u(L, sigma0_tol: float = 1e-8) -> UPair:
     if (L.coeff(1) - LoopFn.const(params.d, params.M, 1.0)).norm() > 1e-9:
         raise ValueError("leading coefficient is not 1")
     s0 = L.coeff(0).norm()
-    if s0 > sigma0_tol:
+    if s0 > 1e-8:
         warnings.warn(f"order-0 part has norm {s0:.3e}; extraction assumes it vanishes")
     return UPair(u1=L.coeff(-1), u2=L.coeff(-2))
 
@@ -156,14 +158,12 @@ def _flow_rhs(L: Symbol, n: int) -> Symbol:
     return -commutator(power(L, n).s_part(), L)
 
 
-def flow_delinearized(
-    L0: Symbol, n: int, t_end: float, dt: float, blowup: float = 1e6, filter_frac: float = 0.75
-) -> FlowState:
+def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float = 1e6) -> FlowState:
     """Classical 4th-order explicit stepping of dL/dt_n = -[(L^n)_S, L].
 
     The stepping runs in double precision (a wide-mode operator is narrowed
     on entry).  After each step the state is mode-filtered at
-    filter_frac * M: near-cutoff rounding junk would otherwise be amplified
+    FILTER_FRAC * M: near-cutoff rounding junk would otherwise be amplified
     explosively by the high-derivative couplings that feed the guard band
     (the true content there is exponentially small for smooth data).
     Rejects the run if a reported-band coefficient sup-norm exceeds
@@ -175,7 +175,7 @@ def flow_delinearized(
         raise ValueError("flow expects an order-1 operator")
     if L0.params.wide:
         L0 = L0.narrow()
-    mf = int(filter_frac * L0.params.M)
+    mf = int(FILTER_FRAC * L0.params.M)
     steps = int(round(t_end / dt))
     L = L0.mode_filter(mf)
     t = 0.0

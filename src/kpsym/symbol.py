@@ -128,6 +128,11 @@ class TruncParams:
         wide mode, float otherwise."""
         return np.longdouble(x) if self.wide else float(x)
 
+    @property
+    def h(self) -> float:
+        """h = 1/deform: d/dx has the symbol h.xi, since [xi, b] = deform . b'."""
+        return 1.0 / self.deform
+
     def with_deform(self, eps: float) -> "TruncParams":
         return replace(self, deform=eps)
 

@@ -47,10 +47,8 @@ class TMono(tuple):
         return (self.val, tuple(self))
 
     @classmethod
-    def unit(cls, K: int, n: int, e: int = 1) -> "TMono":
-        exps = [0] * K
-        exps[n - 1] = e
-        return cls(exps)
+    def unit(cls, K: int, n: int) -> "TMono":
+        return cls(int(i == n) for i in range(1, K + 1))
 
     @classmethod
     def zero(cls, K: int) -> "TMono":
@@ -165,11 +163,11 @@ class TSeries:
     def s_part(self) -> "TSeries":
         return self.map_coeffs(lambda s: s.s_part())
 
-    def assert_growth(self, base_order: int = 0, tol: float = 1e-9) -> None:
+    def assert_growth(self, base_order: int = 0) -> None:
         """Coefficient of a valuation-v monomial must have order <= max(v, base_order)."""
         for mono, sym in self.terms.items():
             cap = max(mono.val, base_order)
-            bad = [n for n, v in sym.order_norms().items() if n > cap and v > tol]
+            bad = [n for n, v in sym.order_norms().items() if n > cap and v > 1e-9]
             if bad:
                 raise AssertionError(
                     f"growth violation at monomial {tuple(mono)} (val {mono.val}): orders {sorted(bad)} exceed {cap}"

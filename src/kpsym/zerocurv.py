@@ -68,11 +68,11 @@ class ConnForm:
         out[k] = out.get(k, TSeries.zero(self.params)) + X
         return ConnForm(out)
 
-    def assert_smoothing(self, tol: float = 1e-12) -> None:
+    def assert_smoothing(self) -> None:
         """Z_S-type forms must have orders <= -1 in every coefficient."""
         for k, W in self.components.items():
             for mono, sym in W.terms.items():
-                bad = [n for n, v in sym.order_norms().items() if n >= 0 and v > tol]
+                bad = [n for n, v in sym.order_norms().items() if n >= 0 and v > 1e-12]
                 if bad:
                     raise AssertionError(
                         f"component {k}, monomial {tuple(mono)}: non-negative orders {sorted(bad)}"
@@ -92,8 +92,8 @@ class Curvature2Form:
             return self.entries[(i, j)].copy()
         return -self.entries[(j, i)]
 
-    def max_norm(self, max_val=None, floor=None) -> float:
-        return max(F.norm(max_val=max_val, floor=floor) for F in self.entries.values())
+    def max_norm(self, max_val=None) -> float:
+        return max(F.norm(max_val=max_val) for F in self.entries.values())
 
 
 def build_Z(jet: KPJet) -> tuple:
@@ -107,7 +107,7 @@ def build_Z(jet: KPJet) -> tuple:
 
 def zs_residual(W: ConnForm, m: int, n: int, sign: int) -> float:
     """Norm of d W_n / d t_m - d W_m / d t_n - sign [W_m, W_n] over
-    valuations <= V - max(m, n).
+    valuations <= V - max(m, n): the curvature entry (m, n) of sign . W.
 
     The differential components satisfy this with sign +1; the raw
     smoothing-direction components pi_S(L^k) satisfy it with sign -1.
@@ -117,9 +117,8 @@ def zs_residual(W: ConnForm, m: int, n: int, sign: int) -> float:
         raise ValueError(f"need distinct flow indices in [1, {K}], got ({m}, {n})")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    Wm, Wn = W.component(m), W.component(n)
-    resid = ddt(Wn, m) - ddt(Wm, n) - tcommutator(Wm, Wn).scale(float(sign))
-    return resid.norm(max_val=W.params.V - max(m, n))
+    theta = W if sign == 1 else ConnForm({k: -W.component(k) for k in (m, n)})
+    return curvature_entry(theta, m, n).norm(max_val=W.params.V - max(m, n))
 
 
 def curvature_entry(theta: ConnForm, i: int, j: int) -> TSeries:

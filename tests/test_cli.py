@@ -78,6 +78,22 @@ def test_config_rejects_bad_shapes():
         {"u_table": [{}]},
         {"s0": [5]},
         {"flow_dt": 0.01 / 256},  # no longer a key: dt is t/256 for each flow time
+        {"Q": 0},
+        {"Mr": 0},
+        {"cube_k": -0.05},
+        {"cube_k": 0},
+        {"cube_k": "0.05"},
+        {"cube_n": 0},
+        {"cube_n": 5},  # beyond K = 3
+        {"K": 3.0},
+        {"M": True},
+        {"seed": 1.5},
+        {"seed": False},
+        {"wide": "no"},
+        {"wide": 1},
+        {"flow_t_end": "0.01"},
+        {"flow_t_end": float("inf")},
+        {"out_dir": 5},
     ],
 )
 def test_config_rejected_before_running(tmp_path, raw):

@@ -21,6 +21,7 @@ from kpsym import (
     build_U,
     compose,
     conj_consistency,
+    conj_from,
     conj_t,
     ds_rhs_gap,
     kp_residual,
@@ -66,6 +67,24 @@ def test_build_U_rejects_bad_leading(small_params):
         build_U(Symbol.xi(small_params, 2), small_params)
     with pytest.raises(ValueError):
         build_U(Symbol.xi(small_params, 1, 2.0), small_params)
+
+
+def test_rescaled_calculus_is_read_from_the_params(small_params):
+    # deform = 1/2 is the calculus of h = 2: d/dx has the symbol 2 xi
+    params_h = small_params.with_deform(0.5)
+    assert params_h.h == 2.0
+    with pytest.raises(ValueError, match="leading coefficient"):
+        build_U(Symbol.xi(params_h, 1), params_h)
+    U = build_U(Symbol.xi(params_h, 1, 2.0), params_h)  # t_2 carries h^2 (2 xi)^2
+    assert (U.term((0, 1, 0)) - Symbol.xi(params_h, 2, 16.0)).is_zero(1e-13)
+    S0 = dressing(small_params, {-1: LoopFn.cos(16)})
+    L0 = conj_from(S0.recast(params_h), params_h)
+    assert (L0.coeff(1) - LoopFn.const(1, 16, 2.0)).norm() == 0.0
+    jet_h = kp_solve(S0.recast(params_h), params_h)
+    assert (jet_h.L0.coeff(1) - LoopFn.const(1, 16, 2.0)).norm() == 0.0
+    # a dressing of the plain calculus would give a lead-1 base operator
+    with pytest.raises(ValueError, match="incompatible"):
+        kp_solve(S0, params_h)
 
 
 def test_factorize_structure(small_jet, small_params):
@@ -243,9 +262,7 @@ def test_h_scaling_covariance_small(small_params):
     scaled = scale_h(jet.L, h)
     params_h = small_params.with_deform(1.0 / h)
     S0h = Symbol(params_h, {n: f * (h ** float(n)) for n, f in S0.a.items()})
-    jet_h = kp_solve(
-        S0h, params_h, xi_scale=h, time_weights=[h**n for n in range(1, small_params.K + 1)]
-    )
+    jet_h = kp_solve(S0h, params_h)
     diff = 0.0
     for mono in set(scaled.terms) | set(jet_h.L.terms):
         a = scaled.terms.get(mono, Symbol.zero(small_params))
