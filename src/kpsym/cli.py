@@ -116,6 +116,8 @@ class RunConfig:
             raise ConfigError(f"{origin}: cube_n must lie in [1, K]")
         if self.flow_t_end <= 0:
             raise ConfigError(f"{origin}: flow_t_end must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"{origin}: seed must be >= 0")
 
     def params(self, wide: bool | None = None) -> TruncParams:
         return TruncParams(
@@ -309,6 +311,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
+        cfg.validate("<command line>")  # the file passed; only the overrides can fail
         only = args.only.split(",") if args.only else None
         before = plan_stats()
         report = COMMANDS[args.command](cfg, only=only)

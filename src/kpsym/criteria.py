@@ -10,12 +10,12 @@ from __future__ import annotations
 from collections import namedtuple
 from math import inf
 
-from .factorization import KPJet, _lax_defects, conj_consistency, kp_solve
+from .factorization import KPJet, conj_consistency, kp_solve, lax_defects
 from .kp2 import FlowBlowup, check_t12, check_t13, check_t23, equiv_t23, eval_taylor, extract_u
 from .kp2 import flow_delinearized, flows_commute, taylor_jet
 from .loopfn import LoopFn
 from .symbol import Symbol, TruncParams, commutator, power
-from .tseries import Path, TSeries, product_integral, scale_h, texp, tmul
+from .tseries import TSeries, product_integral, scale_h, texp, tmul
 from .zerocurv import build_Z, ym_value, zs_residual
 
 __all__ = ["Record", "JetCriteria", "symbol_table", "product_integral_rates", "flow_jet_ratio", "flow_commute", "select"]
@@ -93,21 +93,21 @@ class JetCriteria:
         and the gap between the two right-hand sides; then S L0 S^-1 - Y L0 Y^-1."""
         out = []
         for n in range(1, self.params.K + 1):
-            residual, gap = _lax_defects(self.jet, n)
+            residual, gap = lax_defects(self.jet, n)
             out += [_at_most(f"kp/residual-t{n}", "kp-residual", residual, 1e-9),
                     _at_most(f"kp/ds-gap-t{n}", "kp-residual", gap, 1e-9)]
         return out + [_at_most("kp/conj-consistency", "kp-residual", conj_consistency(self.jet), 1e-9)]
 
     def zero_curvature(self) -> list:
-        """Zakharov-Shabat residuals of every time pair for Z_D (sign +1) and
-        pi_S(L^k) (sign -1), and the sign-flipped Z_D equation, which must fail."""
+        """Zakharov-Shabat residuals of every time pair for Z_D and Z_S (sign
+        +1), and the sign-flipped Z_D equation, which must fail."""
         Z_D, Z_S = build_Z(self.jet)
-        raw_S, K = -Z_S, self.params.K
+        K = self.params.K
         out = []
         for m in range(1, K + 1):
             for n in range(m + 1, K + 1):
                 out.append(_at_most(f"zs/d-form-{m}{n}", "zero-curvature", zs_residual(Z_D, m, n, +1), 1e-9))
-                out.append(_at_most(f"zs/s-form-{m}{n}", "zero-curvature", zs_residual(raw_S, m, n, -1), 1e-9))
+                out.append(_at_most(f"zs/s-form-{m}{n}", "zero-curvature", zs_residual(Z_S, m, n, +1), 1e-9))
         flipped = zs_residual(Z_D, 1, 2, -1)
         return out + [Record("zs/sign-flip-control", "zero-curvature", flipped, 1e-2, flipped >= 1e-2)]
 
@@ -152,7 +152,7 @@ def product_integral_rates(gen: TSeries) -> list:
     """Ratios of the errors of the ordered product against texp(gen) at
     64/128 and 128/256 steps, which must lie in [1.8, 2.2]."""
     target = texp(gen)
-    errs = [(product_integral(Path.constant(gen), n) - target).norm() for n in (64, 128, 256)]
+    errs = [(product_integral(lambda s: gen, n) - target).norm() for n in (64, 128, 256)]
     ratios = {n: errs[i] / errs[i + 1] for i, n in enumerate((64, 128))}
     return [Record(f"product-integral/rate-n{n}", "product-integral", r, 2.2, 1.8 <= r <= 2.2) for n, r in ratios.items()]
 

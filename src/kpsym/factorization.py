@@ -30,7 +30,7 @@ __all__ = [
     "kp_solve",
     "conj_from",
     "kp_residual",
-    "ds_rhs_gap",
+    "lax_defects",
     "conj_consistency",
 ]
 
@@ -155,16 +155,10 @@ def kp_residual(jet: KPJet, n: int) -> float:
     Also computed with the right-hand side -[(L^n)_S, L]; the returned value
     is the max of the two residual norms, so it certifies both forms at once.
     """
-    return _lax_defects(jet, n)[0]
+    return lax_defects(jet, n)[0]
 
 
-def ds_rhs_gap(jet: KPJet, n: int) -> float:
-    """Disagreement between the two right-hand-side forms [(L^n)_D, L] and
-    -[(L^n)_S, L] over valuations <= V - n."""
-    return _lax_defects(jet, n)[1]
-
-
-def _lax_defects(jet: KPJet, n: int) -> tuple:
+def lax_defects(jet: KPJet, n: int) -> tuple:
     """(residual, gap) of the flow t_n, 1 <= n <= K, over valuations <= V - n:
     the larger defect of dL/dt_n = [(L^n)_D, L] and dL/dt_n = -[(L^n)_S, L],
     and the norm of [(L^n)_D, L] + [(L^n)_S, L].  Each bracket is formed once

@@ -207,6 +207,8 @@ def taylor_jet(L0: Symbol, n: int, degree: int) -> list:
     coefficients of L(s)^2, ..., L(s)^n grow by one degree per step:
     (L^k)_j = sum_a (L^{k-1})_a o L_{j-a}.
     """
+    if n < 1:
+        raise ValueError(f"flow direction must be >= 1, got {n}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     zero = Symbol.zero(L0.params)

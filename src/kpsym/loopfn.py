@@ -139,17 +139,6 @@ class LoopFn:
         fac = (1j * modes) ** k
         return LoopFn(self.d, self.M, self.c * fac[:, None, None])
 
-    def antideriv_zero_mean(self, tol: float = 1e-9) -> "LoopFn":
-        """Antiderivative with zero mean; requires the input mean to vanish."""
-        mean = np.max(np.abs(self.c[self.M]))
-        if mean > tol:
-            raise ValueError(f"nonzero mean {mean:.3e} exceeds tolerance {tol:.1e}")
-        modes = np.arange(-self.M, self.M + 1).astype(complex)
-        modes[self.M] = 1.0  # avoid 0-division; that row is zeroed below
-        out = self.c / (1j * modes)[:, None, None]
-        out[self.M] = 0.0
-        return LoopFn(self.d, self.M, out)
-
     def shift_x(self, tau: float) -> "LoopFn":
         """Pull back by the rotation x -> x + tau."""
         modes = np.arange(-self.M, self.M + 1)
@@ -161,17 +150,9 @@ class LoopFn:
         modes = np.arange(-self.M, self.M + 1)
         return np.tensordot(np.exp(1j * modes * x), self.c, axes=(0, 0))
 
-    def mode(self, m: int) -> np.ndarray:
-        if abs(m) > self.M:
-            raise ValueError(f"mode {m} outside cutoff M={self.M}")
-        return self.c[m + self.M].copy()
-
     def norm(self) -> float:
         """l2 norm of the coefficients (Frobenius per matrix)."""
         return float(np.linalg.norm(self.c))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.c))) if self.c.size else 0.0
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.norm() <= tol

@@ -67,7 +67,6 @@ __all__ = [
     "Symbol",
     "compose",
     "commutator",
-    "split_DS",
     "power",
     "invert",
     "conj",
@@ -258,10 +257,6 @@ class Symbol:
     def narrow(self) -> "Symbol":
         """Double-precision coefficients, wide mode off."""
         return self.recast(self.params.with_wide(False))
-
-    def widen(self) -> "Symbol":
-        """Extended-precision coefficients, wide mode on."""
-        return self.recast(self.params.with_wide(True))
 
     # -- linear operations ---------------------------------------------------
 
@@ -545,11 +540,6 @@ def commutator(A: Symbol, B: Symbol) -> Symbol:
     A._compatible(B)
     kmin = 1 if A.params.d == 1 else 0
     return _compose(A, B, kmin) - _compose(B, A, kmin)
-
-
-def split_DS(A: Symbol) -> tuple:
-    """(differential part: orders >= 0, smoothing-direction part: orders <= -1)."""
-    return A.d_part(), A.s_part()
 
 
 def power(A: Symbol, n: int) -> Symbol:

@@ -16,7 +16,6 @@ from .symbol import Symbol, TruncParams, commutator, compose, neumann
 __all__ = [
     "TMono",
     "TSeries",
-    "Path",
     "tmul",
     "texp",
     "ddt",
@@ -300,27 +299,10 @@ def conj_t(S: TSeries, A: Symbol) -> TSeries:
     return TSeries.constant(S.params, A) + tmul(lie, tinvert(S))
 
 
-class Path:
-    """Map s in [0, 1] -> TSeries with valuation >= 1 (checked on sampling)."""
-
-    def __init__(self, fn, params: TruncParams):
-        self.fn = fn
-        self.params = params
-
-    @classmethod
-    def constant(cls, X: TSeries) -> "Path":
-        return cls(lambda s: X, X.params)
-
-    def __call__(self, s: float) -> TSeries:
-        v = self.fn(s)
-        zero_mono = TMono.zero(self.params.K)
-        if zero_mono in v.terms and not v.terms[zero_mono].is_zero():
-            raise ValueError(f"path has valuation-0 content at s={s}")
-        return v
-
-
-def product_integral(v: Path, n: int) -> TSeries:
-    """Left-endpoint ordered product approximating the path exponential.
+def product_integral(v, n: int) -> TSeries:
+    """Left-endpoint ordered product approximating the path exponential of
+    v, a map s in [0, 1] -> TSeries with valuation >= 1 (checked at each
+    sample).
 
     Returns u_n(1) = prod_{i=1}^{n} (1 + (1/n) v((n-i)/n)) with later times on
     the left; for a constant path this is (1 + v/n)^n truncated, converging to
@@ -328,9 +310,11 @@ def product_integral(v: Path, n: int) -> TSeries:
     """
     if n <= 0:
         raise ValueError("need at least one subdivision step")
-    params = v.params
-    out = TSeries.one(params)
+    out = None
     for ell in range(n):
-        factor = TSeries.one(params) + v(ell / n).scale(1.0 / n)
-        out = tmul(factor, out)
+        X = v(ell / n)
+        if not X.term(TMono.zero(X.params.K)).is_zero():
+            raise ValueError(f"path has valuation-0 content at s={ell / n}")
+        one = TSeries.one(X.params)
+        out = tmul(one + X.scale(1.0 / n), one if out is None else out)
     return out

@@ -22,15 +22,7 @@ from .factorization import KPJet
 from .symbol import realize_matrix
 from .tseries import TSeries, ddt, eval_t, tcommutator
 
-__all__ = [
-    "ConnForm",
-    "Curvature2Form",
-    "build_Z",
-    "zs_residual",
-    "curvature",
-    "curvature_entry",
-    "ym_value",
-]
+__all__ = ["ConnForm", "build_Z", "zs_residual", "curvature_entry", "ym_value"]
 
 
 @dataclass
@@ -56,10 +48,6 @@ class ConnForm:
         W = self.components.get(k)
         return W.copy() if W is not None else TSeries.zero(self.params)
 
-    def __add__(self, other: "ConnForm") -> "ConnForm":
-        keys = set(self.components) | set(other.components)
-        return ConnForm({k: self.component(k) + other.component(k) for k in keys})
-
     def __neg__(self) -> "ConnForm":
         return ConnForm({k: -W for k, W in self.components.items()})
 
@@ -67,33 +55,6 @@ class ConnForm:
         out = {j: W.copy() for j, W in self.components.items()}
         out[k] = out.get(k, TSeries.zero(self.params)) + X
         return ConnForm(out)
-
-    def assert_smoothing(self) -> None:
-        """Z_S-type forms must have orders <= -1 in every coefficient."""
-        for k, W in self.components.items():
-            for mono, sym in W.terms.items():
-                bad = [n for n, v in sym.order_norms().items() if n >= 0 and v > 1e-12]
-                if bad:
-                    raise AssertionError(
-                        f"component {k}, monomial {tuple(mono)}: non-negative orders {sorted(bad)}"
-                    )
-
-
-@dataclass
-class Curvature2Form:
-    """F = sum_{i<j} F_{i,j} dt_i ^ dt_j; only i < j entries are stored."""
-
-    entries: dict  # (i, j) with i < j -> TSeries
-
-    def entry(self, i: int, j: int) -> TSeries:
-        if i == j:
-            raise ValueError("curvature entries need i != j")
-        if i < j:
-            return self.entries[(i, j)].copy()
-        return -self.entries[(j, i)]
-
-    def max_norm(self, max_val=None) -> float:
-        return max(F.norm(max_val=max_val) for F in self.entries.values())
 
 
 def build_Z(jet: KPJet) -> tuple:
@@ -125,11 +86,6 @@ def curvature_entry(theta: ConnForm, i: int, j: int) -> TSeries:
     """F_{i,j} = d_i theta_j - d_j theta_i - [theta_i, theta_j] (1/2 absorbed)."""
     ti, tj = theta.component(i), theta.component(j)
     return ddt(tj, i) - ddt(ti, j) - tcommutator(ti, tj)
-
-
-def curvature(theta: ConnForm) -> Curvature2Form:
-    K = theta.K
-    return Curvature2Form({(i, j): curvature_entry(theta, i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)})
 
 
 def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int = 8) -> float:

@@ -94,6 +94,7 @@ def test_config_rejects_bad_shapes():
         {"flow_t_end": "0.01"},
         {"flow_t_end": float("inf")},
         {"out_dir": 5},
+        {"seed": -1},
     ],
 )
 def test_config_rejected_before_running(tmp_path, raw):
@@ -102,6 +103,11 @@ def test_config_rejected_before_running(tmp_path, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["paper-table", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+
+def test_negative_seed_option_exits_2(tmp_path):
+    assert main(["paper-table", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_file_errors(tmp_path):

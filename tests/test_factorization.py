@@ -23,9 +23,9 @@ from kpsym import (
     conj_consistency,
     conj_from,
     conj_t,
-    ds_rhs_gap,
     kp_residual,
     kp_solve,
+    lax_defects,
     mulase_factorize,
     tinvert,
     tmul,
@@ -202,10 +202,10 @@ def test_kp_residual_small(small_jet, small_params):
     # bounds are exercised at the extended-precision desk scale
     for n in (1, 2, 3):
         assert kp_residual(small_jet, n) < 1e-7
-        assert ds_rhs_gap(small_jet, n) < 1e-8
+        assert lax_defects(small_jet, n)[1] < 1e-8
     # the powers are indexed by n - 1, so n = 0 must not read L^K
     for n in (0, small_params.K + 1):
-        for defect in (kp_residual, ds_rhs_gap):
+        for defect in (kp_residual, lax_defects):
             with pytest.raises(ValueError):
                 defect(small_jet, n)
 

@@ -15,7 +15,6 @@ from kpsym import (
     check_t13,
     check_t23,
     conj_from,
-    ddt,
     equiv_t23,
     eval_taylor,
     extract_u,
@@ -24,7 +23,7 @@ from kpsym import (
     kp_solve,
     taylor_jet,
 )
-from kpsym.kp2 import UPair, jet_dx
+from kpsym.kp2 import UPair
 from kpsym.symbol import clear_plans, plan_stats
 
 
@@ -128,22 +127,6 @@ def test_equiv_t23_flags_violations(small_params):
     assert equiv_t23(u) > 1e-3
 
 
-def test_equiv_t23_antideriv_route(small_params):
-    # the raw-minus-eliminated gap, antidifferentiated, recovers 3x the
-    # first-equation defect up to its mean
-    rng = np.random.default_rng(35)
-    u = synthetic_jets(small_params, rng, satisfy_eq1=False)
-    eq1_defect = ddt(u.u1, 2) - jet_dx(u.u1, 2) - jet_dx(u.u2).scale(2.0)
-    lhs = jet_dx(eq1_defect).scale(3.0)
-    # integrate back: antiderivative of dx(defect) recovers defect - mean
-    for mono, sym in lhs.terms.items():
-        f = sym.coeff(0)
-        got = f.antideriv_zero_mean(tol=1e-6)
-        want = 3.0 * eq1_defect.term(mono).coeff(0)
-        want.c[want.M] = 0.0  # drop the mean
-        assert (got - want).norm() < 1e-8
-
-
 def test_flow_trivial(small_params):
     L0 = Symbol.xi(small_params)
     state = flow_delinearized(L0, 2, 0.01, 0.01 / 64)
@@ -200,6 +183,14 @@ def test_taylor_jet_matches_hierarchy(small_jet, small_params):
             mono[direction - 1] = j
             want = small_jet.L.term(mono)
             assert (coeffs[j] - want).norm() < 1e-8
+
+
+def test_taylor_jet_rejects_bad_direction_and_degree(small_jet):
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            taylor_jet(small_jet.L0, n, 2)
+    with pytest.raises(ValueError):
+        taylor_jet(small_jet.L0, 2, -1)
 
 
 def test_taylor_jet_grows_its_powers_one_degree_per_step(small_jet):

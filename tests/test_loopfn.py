@@ -22,7 +22,7 @@ def test_add_linearity():
 
 def test_add_disjoint_modes():
     f = LoopFn.from_modes(1, M, {1: 1.0}) + LoopFn.from_modes(1, M, {2: 1.0})
-    assert f.mode(1)[0, 0] == 1.0 and f.mode(2)[0, 0] == 1.0
+    assert f.c[1 + M, 0, 0] == 1.0 and f.c[2 + M, 0, 0] == 1.0
 
 
 def test_add_rejects_mismatch():
@@ -47,7 +47,7 @@ def test_mul_truncation_against_untruncated_oracle():
     top = LoopFn.from_modes(1, M, {M: 1.0})
     wide = LoopFn.from_modes(1, 2 * M, {M: 1.0})
     oracle = wide * wide
-    assert abs(oracle.mode(2 * M)[0, 0] - 1.0) < 1e-14
+    assert abs(oracle.c[2 * M + oracle.M, 0, 0] - 1.0) < 1e-14
     assert (top * top).norm() < 1e-14  # the 2M mode is beyond the cutoff
 
 
@@ -80,26 +80,6 @@ def test_norm():
     assert LoopFn.zero(1, M).norm() == 0.0
     assert abs(LoopFn.from_modes(1, M, {1: 1.0}).norm() - 1.0) < 1e-14
     assert abs(LoopFn.from_modes(1, M, {2: 3.0}).norm() - 3.0) < 1e-14
-
-
-def test_antideriv():
-    c = LoopFn.cos(M)
-    assert (c.antideriv_zero_mean() - LoopFn.sin(M)).norm() < 1e-15
-    assert LoopFn.zero(1, M).antideriv_zero_mean().norm() == 0.0
-
-
-def test_antideriv_rejects_mean():
-    with pytest.raises(ValueError):
-        LoopFn.const(1, M, 1.0).antideriv_zero_mean()
-
-
-def test_antideriv_inverts_dx():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        f = LoopFn.random_trig(rng, M, 6)
-        f.c[M] = 0.0  # zero mean
-        assert (f.dx().antideriv_zero_mean() - f).norm() < 1e-12
-        assert (f.antideriv_zero_mean().dx() - f).norm() < 1e-12
 
 
 def test_leibniz_rule():
