@@ -247,11 +247,11 @@ def cmd_flow(cfg: RunConfig, only=None) -> Report:
     params = cfg.params(wide=False)
     L0 = cache(lambda: conj_from(cfg.build_s0(params), params))
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def jet_ratio(direction: int) -> list:
         record, rows = flow_jet_ratio(L0(), direction, cfg.flow_t_end, params.V)
         if rows:
+            out.mkdir(parents=True, exist_ok=True)
             table = "\n".join(f"{t:.6e} {e:.17e}" for t, e in rows)
             (out / f"flow_convergence_t{direction}.dat").write_text(table + "\n")
         return [record]
@@ -315,6 +315,8 @@ def main(argv=None) -> int:
         only = args.only.split(",") if args.only else None
         before = plan_stats()
         report = COMMANDS[args.command](cfg, only=only)
+        if only and not report.records:
+            raise ConfigError(f"--only {args.only!r} matches no record of {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -77,12 +77,11 @@ def build_U(L0: Symbol, params: TruncParams) -> TSeries:
     h = params.h
     if (L0.coeff(1) - LoopFn.const(params.d, params.M, h)).norm() > 1e-9:
         raise ValueError(f"base operator must have constant leading coefficient h = {h}")
-    gen = TSeries.zero(params)
-    pw = None
+    gen, pw = {}, None
     for n in range(1, params.K + 1):
         pw = L0 if pw is None else compose(pw, L0)
-        gen.set_term(TMono.unit(params.K, n), pw.scale(h**n))
-    return texp(gen)
+        gen[TMono.unit(params.K, n)] = pw.scale(h**n)
+    return texp(TSeries(params, gen))
 
 
 def mulase_factorize(U: TSeries) -> tuple:
@@ -97,30 +96,27 @@ def mulase_factorize(U: TSeries) -> tuple:
     if (U0 - Symbol.identity(params)).norm(floor=params.floor) > 1e-9:
         raise ValueError("factorization expects a unit with constant term 1")
 
-    S = TSeries.one(params)
-    Y = TSeries.one(params)
+    S, Y = {}, {zero: Symbol.identity(params)}  # S: the terms of val >= 1, in graded order
     for mono in sorted(U.terms, key=TMono.key):
         if mono == zero:
             continue
-        W = U.term(mono)
-        for beta in sorted(S.terms, key=TMono.key):
-            if beta == zero or beta == mono:
-                continue
+        W = U.terms[mono]
+        for beta, Sb in S.items():
             if all(b <= m for b, m in zip(beta, mono)):
                 gamma = TMono(tuple(m - b for b, m in zip(beta, mono)))
                 if gamma in U.terms:
-                    W = W + compose(S.terms[beta], U.terms[gamma])
+                    W = W + compose(Sb, U.terms[gamma])
         Yv = W.d_part()
         top = Yv.order
         if top is not None and top > mono.val:
             raise AssertionError(
                 f"growth violation: differential part at {tuple(mono)} has order {top} > val {mono.val}"
             )
-        S.terms[mono] = -W.s_part()
-        Y.terms[mono] = Yv
-    S.prune()
-    Y.prune()
-    return S, Y
+        Sv = -W.s_part()
+        if not Sv.is_zero():
+            S[mono] = Sv
+        Y[mono] = Yv
+    return TSeries(params, {zero: Symbol.identity(params), **S}), TSeries(params, Y)
 
 
 def kp_solve(S0: Symbol, params: TruncParams) -> KPJet:

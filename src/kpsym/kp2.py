@@ -63,12 +63,7 @@ class FlowState:
 def _scalar_jet(X: TSeries, order: int) -> TSeries:
     """Extract the order-`order` coefficient of every monomial, re-embedded at
     order 0 so the scalar jets multiply pointwise."""
-    out = TSeries.zero(X.params)
-    for mono, sym in X.terms.items():
-        f = sym.coeff(order)
-        if not f.is_zero():
-            out.terms[mono] = Symbol(X.params, {0: f})
-    return out
+    return TSeries(X.params, {mono: Symbol(X.params, {0: sym.coeff(order)}) for mono, sym in X.terms.items()})
 
 
 def jet_dx(X: TSeries, k: int = 1) -> TSeries:
@@ -167,7 +162,8 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float
     explosively by the high-derivative couplings that feed the guard band
     (the true content there is exponentially small for smooth data).
     Rejects the run if a reported-band coefficient sup-norm exceeds
-    `blowup`; guard-band orders legitimately carry large values.
+    `blowup` or is not finite; guard-band orders legitimately carry large
+    values.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
@@ -186,7 +182,7 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float
         k4 = _flow_rhs(L + k3.scale(dt), n)
         L = (L + (k1 + k2.scale(2.0) + k3.scale(2.0) + k4).scale(dt / 6)).mode_filter(mf)
         t += dt
-        if L.sup_norm(floor=L.params.F) > blowup:
+        if not L.sup_norm(floor=L.params.F) <= blowup:  # a NaN fails this test too
             raise FlowBlowup(f"coefficient sup-norm exceeded {blowup:.1e} at t={t:.4g}")
     return FlowState(L=L, t=t, n=n, dt=dt)
 

@@ -294,14 +294,6 @@ class Symbol:
         fac = np.array([h**n for n in range(self.lo, self.lo + len(self.c))])
         return _packed(self.params, self.lo, self.c * fac[:, None, None, None])
 
-    def __mul__(self, other):
-        if isinstance(other, Symbol):
-            return compose(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __repr__(self) -> str:
         return f"Symbol(orders={self.orders()})"
 
@@ -619,8 +611,8 @@ def realize_matrix(A: Symbol, Mr: int) -> np.ndarray:
     must use the same realization cutoff.
     """
     params = A.params
-    if Mr > params.M:
-        raise ValueError(f"realization cutoff Mr={Mr} exceeds mode cutoff M={params.M}")
+    if not 1 <= Mr <= params.M:
+        raise ValueError(f"realization cutoff Mr={Mr} outside [1, M={params.M}]")
     d, M = params.d, params.M
     modes = np.concatenate([np.arange(-Mr, 0), np.arange(1, Mr + 1)])
     nmodes = modes.size

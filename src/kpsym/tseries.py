@@ -5,6 +5,13 @@ Monomials are exponent tuples; everything below iterates in graded
 lexicographic order so results are reproducible.  Because every retained
 monomial has valuation <= V, exponentials and inverses of 1 + (val >= 1)
 series are finite sums, exact in the truncated algebra.
+
+A `TSeries` holds only its nonzero coefficients, so, as for `Symbol`, the
+values are the only record of which monomials are present.  Its
+constructor is the one place that writes them: every operation fills a
+plain dict and builds its result once, and series are shared, not copied.
+Products are spelled out: `tmul` composes coefficients, `tcommutator`
+brackets them and `scale` multiplies by a number.
 """
 
 from __future__ import annotations
@@ -65,24 +72,28 @@ class TMono(tuple):
 
 
 class TSeries:
-    """Map TMono -> Symbol, keeping monomials with valuation <= params.V."""
+    """Map TMono -> nonzero Symbol, keeping monomials with valuation <= params.V."""
 
     __slots__ = ("params", "terms")
 
     def __init__(self, params: TruncParams, terms: dict | None = None):
         self.params = params
         self.terms = {}
-        if terms:
-            for mono, sym in terms.items():
-                self.set_term(mono, sym)
+        for mono, sym in (terms or {}).items():
+            self.set_term(mono, sym)
 
     def set_term(self, mono, sym: Symbol) -> None:
+        """Set the coefficient of `mono`; a zero `sym` clears it, and a
+        monomial beyond the cap V is dropped."""
         mono = TMono(mono)
         if len(mono) != self.params.K:
             raise ValueError(f"monomial has {len(mono)} exponents, params.K = {self.params.K}")
         if mono.val > self.params.V:
             return
-        self.terms[mono] = sym
+        if sym.is_zero():
+            self.terms.pop(mono, None)
+        else:
+            self.terms[mono] = sym
 
     @classmethod
     def zero(cls, params: TruncParams) -> "TSeries":
@@ -101,6 +112,8 @@ class TSeries:
         return cls(params, {TMono(mono): sym})
 
     def copy(self) -> "TSeries":
+        """A series of its own, for a caller that edits `terms` in place
+        (perfbench's perturbation tests)."""
         return TSeries(self.params, self.terms)
 
     def monomials(self) -> list:
@@ -110,11 +123,6 @@ class TSeries:
         mono = TMono(mono)
         sym = self.terms.get(mono)
         return sym if sym is not None else Symbol.zero(self.params)
-
-    def prune(self) -> "TSeries":
-        for m in [m for m, s in self.terms.items() if s.is_zero()]:
-            del self.terms[m]
-        return self
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(s.is_zero(tol) for s in self.terms.values())
@@ -130,10 +138,10 @@ class TSeries:
         return best
 
     def __add__(self, other: "TSeries") -> "TSeries":
-        out = self.copy()
+        terms = dict(self.terms)
         for mono, sym in other.terms.items():
-            out.terms[mono] = out.terms[mono] + sym if mono in out.terms else sym
-        return out
+            terms[mono] = terms[mono] + sym if mono in terms else sym
+        return TSeries(_common_params(self, other), terms)
 
     def __sub__(self, other: "TSeries") -> "TSeries":
         return self + (-other)
@@ -143,14 +151,6 @@ class TSeries:
 
     def scale(self, c) -> "TSeries":
         return TSeries(self.params, {m: s.scale(c) for m, s in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TSeries):
-            return tmul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def map_coeffs(self, fn) -> "TSeries":
         """Apply a Symbol -> Symbol map to every coefficient."""
@@ -176,13 +176,17 @@ class TSeries:
         return f"TSeries({len(self.terms)} monomials, V={self.params.V}, K={self.params.K})"
 
 
+def _common_params(X: TSeries, Y: TSeries) -> TruncParams:
+    if X.params is not Y.params and X.params != Y.params:
+        raise ValueError("series have different truncation parameters")
+    return X.params
+
+
 def _cauchy(X: TSeries, Y: TSeries, product) -> TSeries:
     """Cauchy product over monomials with coefficient product `product`;
     val > V is dropped."""
-    if X.params is not Y.params and X.params != Y.params:
-        raise ValueError("series have different truncation parameters")
-    params = X.params
-    out = TSeries.zero(params)
+    params = _common_params(X, Y)
+    out = {}
     ymonos = Y.monomials()
     for mx in X.monomials():
         vx = mx.val
@@ -192,8 +196,8 @@ def _cauchy(X: TSeries, Y: TSeries, product) -> TSeries:
                 continue
             prod = product(sx, Y.terms[my])
             key = mx + my
-            out.terms[key] = out.terms[key] + prod if key in out.terms else prod
-    return out
+            out[key] = out[key] + prod if key in out else prod
+    return TSeries(params, out)
 
 
 def tmul(X: TSeries, Y: TSeries) -> TSeries:
@@ -204,15 +208,12 @@ def tmul(X: TSeries, Y: TSeries) -> TSeries:
 def texp(X: TSeries) -> TSeries:
     """exp(X) = sum_{k <= V} X^k / k!; requires every term of X to have val >= 1."""
     params = X.params
-    zero_mono = TMono.zero(params.K)
-    if zero_mono in X.terms and not X.terms[zero_mono].is_zero():
+    if TMono.zero(params.K) in X.terms:
         raise ValueError("texp requires valuation >= 1 (nonzero constant term found)")
     one = params.dtype(1).real  # 1/k! in the series' precision
-    out = TSeries.one(params)
-    pw = TSeries.one(params)
+    out = pw = TSeries.one(params)
     for k in range(1, params.V + 1):
         pw = tmul(pw, X)
-        pw.prune()
         if not pw.terms:
             break
         out = out + pw.scale(one / factorial(k))
@@ -224,15 +225,14 @@ def ddt(X: TSeries, n: int) -> TSeries:
     params = X.params
     if not 1 <= n <= params.K:
         raise ValueError(f"time index {n} outside [1, {params.K}]")
-    out = TSeries.zero(params)
+    terms = {}
     for mono, sym in X.terms.items():
         e = mono[n - 1]
-        if e == 0:
-            continue
-        lowered = list(mono)
-        lowered[n - 1] = e - 1
-        out.terms[TMono(lowered)] = sym.scale(float(e))
-    return out
+        if e:
+            lowered = list(mono)
+            lowered[n - 1] = e - 1
+            terms[TMono(lowered)] = sym.scale(float(e))
+    return TSeries(params, terms)
 
 
 def eval_t(X: TSeries, t) -> Symbol:
@@ -252,18 +252,15 @@ def scale_h(X: TSeries, h: float) -> TSeries:
     precision."""
     if h == 0:
         raise ValueError("scaling factor must be nonzero")
-    out = TSeries.zero(X.params)
     hr = X.params.real(h)
-    for mono, sym in X.terms.items():
-        out.terms[mono] = sym.scale_orders(h).scale(hr**mono.val)
-    return out
+    return TSeries(X.params, {m: s.scale_orders(h).scale(hr**m.val) for m, s in X.terms.items()})
 
 
 def tpowers(X: TSeries, n: int):
     """Yield X, X^2, ..., X^n, each the product of the one before with X."""
     if n <= 0:
         raise ValueError(f"tpowers expects a positive exponent, got {n}")
-    out = X.copy()
+    out = X
     yield out
     for _ in range(n - 1):
         out = tmul(out, X)
@@ -274,11 +271,10 @@ def tinvert(X: TSeries) -> TSeries:
     """Inverse of 1 + N with val(N) >= 1, via the finite Neumann sum."""
     params = X.params
     N = X - TSeries.one(params)
-    zero_mono = TMono.zero(params.K)
-    if zero_mono in N.terms and not N.terms[zero_mono].is_zero():
+    if TMono.zero(params.K) in N.terms:
         raise ValueError("tinvert expects a unit with constant term 1")
     minus_N = -N
-    return neumann(TSeries.one(params), lambda pw: tmul(pw, minus_N).prune(), params.V)
+    return neumann(TSeries.one(params), lambda pw: tmul(pw, minus_N), params.V)
 
 
 def tcommutator(X: TSeries, Y: TSeries) -> TSeries:
@@ -313,7 +309,7 @@ def product_integral(v, n: int) -> TSeries:
     out = None
     for ell in range(n):
         X = v(ell / n)
-        if not X.term(TMono.zero(X.params.K)).is_zero():
+        if TMono.zero(X.params.K) in X.terms:
             raise ValueError(f"path has valuation-0 content at s={ell / n}")
         one = TSeries.one(X.params)
         out = tmul(one + X.scale(1.0 / n), one if out is None else out)

@@ -45,15 +45,14 @@ class ConnForm:
         return self.params.K
 
     def component(self, k: int) -> TSeries:
-        W = self.components.get(k)
-        return W.copy() if W is not None else TSeries.zero(self.params)
+        return self.components.get(k) or TSeries.zero(self.params)
 
     def __neg__(self) -> "ConnForm":
         return ConnForm({k: -W for k, W in self.components.items()})
 
     def add_term(self, k: int, X: TSeries) -> "ConnForm":
-        out = {j: W.copy() for j, W in self.components.items()}
-        out[k] = out.get(k, TSeries.zero(self.params)) + X
+        out = dict(self.components)
+        out[k] = self.component(k) + X
         return ConnForm(out)
 
 
@@ -102,8 +101,8 @@ def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int 
         raise ValueError(f"need 1 <= i < j <= {K}, got ({i}, {j})")
     if not 1 <= n <= K:
         raise ValueError(f"cube dimension must lie in [1, {K}], got {n}")
-    if Mr > params.M:
-        raise ValueError(f"realization cutoff {Mr} exceeds mode cutoff {params.M}")
+    if not 1 <= Mr <= params.M:
+        raise ValueError(f"realization cutoff {Mr} outside [1, M={params.M}]")
     if k <= 0 or Q < 1:
         raise ValueError("need cube half-width k > 0 and at least one node")
     F = curvature_entry(theta, i, j)

@@ -1,12 +1,17 @@
 """Configuration loading, report determinism, and the pipeline commands."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kpsym
 from kpsym import LoopFn, Symbol, TSeries, build_Z, kp_solve, ym_value
 from kpsym.symbol import plan_stats
 from kpsym.cli import (
@@ -186,6 +191,25 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"K": 1}')
     assert main(["check", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["factorize", "check", "flow", "paper-table"])
+def test_only_matching_nothing_exits_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--only", "nosuch"]) == 2
+    assert "matches no record" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_loads_no_cli_criteria_or_scipy():
+    # `import kpsym` is the set-up cost of every process that uses the library
+    code = "import sys, kpsym; print(sorted({'kpsym.cli', 'kpsym.criteria', 'scipy'} & set(sys.modules)))"
+    src = str(Path(kpsym.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_verbose_reports_kernel_use(tmp_path, capsys):

@@ -234,10 +234,8 @@ def test_conj_consistency_and_sensitivity(small_jet, small_params):
     assert conj_consistency(small_jet) < 1e-7
     # corrupting one coefficient of Y by 1e-3 must be detected
     jet = small_jet
-    Y_bad = jet.Y.copy()
-    mono = TMono((1, 0, 0))
     bump = Symbol.from_terms(small_params, {1: LoopFn.const(1, 16, 1e-3)})
-    Y_bad.terms[mono] = Y_bad.terms[mono] + bump
+    Y_bad = jet.Y + TSeries.monomial(small_params, (1, 0, 0), bump)
     corrupted = KPJet(S0=jet.S0, L0=jet.L0, U=jet.U, S=jet.S, Y=Y_bad, L=jet.L)
     assert conj_consistency(corrupted) > 1e-4
 

@@ -67,10 +67,8 @@ def test_checks_derived(small_jet):
 
 def test_check_sensitivity(small_jet, small_params):
     # corrupting the t1 coefficient of u_{-1} by 1e-3 must surface ~1e-3
-    jet_L = small_jet.L.copy()
-    mono = TMono((1, 0, 0))
     bump = Symbol.from_terms(small_params, {-1: LoopFn.const(1, 16, 1e-3)})
-    jet_L.terms[mono] = jet_L.terms[mono] + bump
+    jet_L = small_jet.L + TSeries.monomial(small_params, (1, 0, 0), bump)
 
     class Stub:
         L = jet_L
@@ -255,3 +253,11 @@ def test_flow_blowup_detected(small_params):
     )
     with pytest.raises(FlowBlowup):
         flow_delinearized(big, 3, 0.5, 0.5 / 64, blowup=1e3)
+
+
+def test_flow_non_finite_state_detected(small_params):
+    # NaN compares False with any bound, so a NaN state must not pass as small
+    nan = LoopFn.from_modes(1, 16, {1: np.nan})
+    L0 = Symbol.from_terms(small_params, {1: LoopFn.const(1, 16, 1.0), -3: nan})
+    with pytest.raises(FlowBlowup):
+        flow_delinearized(L0, 2, 5e-4, 5e-4 / 4)

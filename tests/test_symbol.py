@@ -305,6 +305,10 @@ def test_realize_cos_xi_inverse_oracle():
 def test_realize_rejects_large_cutoff():
     with pytest.raises(ValueError):
         realize_matrix(Symbol.xi(P), M + 1)
+    # an empty block would read as a zero (flat) Hilbert-Schmidt value
+    for Mr in (0, -1):
+        with pytest.raises(ValueError):
+            realize_matrix(Symbol.xi(P), Mr)
 
 
 def test_realize_morphism_on_central_block():

@@ -37,6 +37,26 @@ def test_tmono_valuation():
         TMono((-1, 0, 0))
 
 
+def test_series_hold_only_nonzero_terms():
+    X = TSeries.monomial(P, (1, 0, 0), Symbol.xi(P))
+    assert TSeries.monomial(P, (1, 0, 0), Symbol.zero(P)).terms == {}
+    assert (X - X).terms == {}
+    assert ddt(X, 2).terms == {}
+    # a unit whose constant term is exactly 1: the inverse's Neumann terms
+    # and the exponential's powers keep no zero coefficient either
+    for series in (tinvert(TSeries.one(P) + X), texp(X), tmul(X, X - X)):
+        assert all(not s.is_zero() for s in series.terms.values())
+    Z = X + X
+    Z.set_term((1, 0, 0), Symbol.zero(P))  # a zero coefficient clears the term
+    assert Z.terms == {}
+
+
+def test_sum_rejects_mismatched_params():
+    other = TruncParams(M=16, F=-6, g=6, V=3, K=3)
+    with pytest.raises(ValueError, match="different truncation parameters"):
+        TSeries.one(P) + TSeries.one(other)
+
+
 def test_tmul_unit():
     X = TSeries.monomial(P, (1, 1, 0), Symbol.xi(P, 2))
     assert (tmul(TSeries.one(P), X) - X).norm() == 0.0

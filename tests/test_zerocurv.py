@@ -47,7 +47,7 @@ def test_build_Z_reconstruction(forms, small_jet):
     from kpsym.tseries import tmul
 
     Z_D, Z_S = forms
-    pw = small_jet.L.copy()
+    pw = small_jet.L
     for k in range(1, 4):
         if k > 1:
             pw = tmul(pw, small_jet.L)
