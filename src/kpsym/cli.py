@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError(f"{origin}: {e}")
         if self.K < 3:
             raise ConfigError(f"{origin}: K must be >= 3 for the KP-II pipelines")
+        if self.V < self.K:
+            raise ConfigError(f"{origin}: V must be >= K: a t_n check reads valuations <= V - n")
         if not 1 <= self.Mr <= self.M:
             raise ConfigError(f"{origin}: Mr must lie in [1, M]")
         if self.Q < 1:

@@ -162,13 +162,13 @@ def lax_defects(jet: KPJet, n: int) -> tuple:
     K = jet.params.K
     if not 1 <= n <= K:
         raise ValueError(f"flow index {n} outside [1, {K}]")
-    L, Ln = jet.L, jet.powers[n - 1]
-    cap = L.params.V - n
+    cap = jet.params.V - n
+    L, Ln = jet.L.capped(cap), jet.powers[n - 1].capped(cap)
     rhs_d = tcommutator(Ln.d_part(), L)
     rhs_s = tcommutator(Ln.s_part(), L)
-    lhs = ddt(L, n)
-    residual = max((lhs - rhs_d).norm(max_val=cap), (lhs + rhs_s).norm(max_val=cap))
-    return residual, (rhs_d + rhs_s).norm(max_val=cap)
+    lhs = ddt(jet.L, n).capped(cap)
+    residual = max((lhs - rhs_d).norm(), (lhs + rhs_s).norm())
+    return residual, (rhs_d + rhs_s).norm()
 
 
 def conj_consistency(jet: KPJet) -> float:

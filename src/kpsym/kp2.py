@@ -96,15 +96,14 @@ def extract_u(L) -> UPair:
 def check_t12(jet) -> float:
     """Residual of  d u_{-1} / d t_1 = d/dx u_{-1}  over valuations <= V - 1."""
     u = extract_u(jet.L)
-    cap = jet.params.V - 1
-    return (ddt(u.u1, 1) - jet_dx(u.u1)).norm(max_val=cap)
+    return (ddt(u.u1, 1) - jet_dx(u.u1)).capped(jet.params.V - 1).norm()
 
 
 def check_t13(jet) -> float:
     """Residuals of the pair  d u_{-1}/d t_1 = d/dx u_{-1}  and
     d u_{-2}/d t_1 = d/dx u_{-2}; returns the larger one."""
     u = extract_u(jet.L)
-    return max((ddt(w, 1) - jet_dx(w)).norm(max_val=jet.params.V - 1) for w in (u.u1, u.u2))
+    return max((ddt(w, 1) - jet_dx(w)).capped(jet.params.V - 1).norm() for w in (u.u1, u.u2))
 
 
 def check_t23(jet) -> float:
@@ -116,8 +115,8 @@ def check_t23(jet) -> float:
     """
     u = extract_u(jet.L)
     cap = jet.params.V - 3
-    r1 = (ddt(u.u1, 2) - jet_dx(u.u1, 2) - jet_dx(u.u2).scale(2.0)).norm(max_val=cap)
-    return max(r1, _t23_eliminated(u.u1, u.u2).norm(max_val=cap))
+    r1 = (ddt(u.u1, 2) - jet_dx(u.u1, 2) - jet_dx(u.u2).scale(2.0)).capped(cap).norm()
+    return max(r1, _t23_eliminated(u.u1, u.u2).capped(cap).norm())
 
 
 def _t23_eliminated(u1: TSeries, u2: TSeries) -> TSeries:
@@ -139,14 +138,13 @@ def equiv_t23(u: UPair) -> float:
     holds, whatever the jets are otherwise.
     """
     u1, u2 = u.u1, u.u2
-    cap = u1.params.V - 3
     raw = (
         ddt(u2, 2).scale(3.0)
         + jet_dx(ddt(u1, 2)).scale(3.0)
         - ddt(u1, 3).scale(2.0)
         - (tmul(jet_dx(u1), u1).scale(-6.0) + jet_dx(u1, 3) + jet_dx(u2, 2).scale(3.0))
     )
-    return (raw - _t23_eliminated(u1, u2)).norm(max_val=cap)
+    return (raw - _t23_eliminated(u1, u2)).capped(u1.params.V - 3).norm()
 
 
 def _flow_rhs(L: Symbol, n: int) -> Symbol:

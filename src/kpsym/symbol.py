@@ -100,8 +100,8 @@ class TruncParams:
             raise ValueError("floor F must be <= -1")
         if self.N < 1:
             raise ValueError("ceiling N must be >= 1")
-        if self.V < 1 or self.K < 1 or self.g < 0:
-            raise ValueError("need V >= 1, K >= 1, g >= 0")
+        if self.V < 0 or self.K < 1 or self.g < 0:
+            raise ValueError("need V >= 0, K >= 1, g >= 0")
         if self.deform == 0.0:
             raise ValueError("deform factor must be nonzero")
         if self.wide and self.d != 1:

@@ -10,12 +10,15 @@ A `TSeries` holds only its nonzero coefficients, so, as for `Symbol`, the
 values are the only record of which monomials are present.  Its
 constructor is the one place that writes them: every operation fills a
 plain dict and builds its result once, and series are shared, not copied.
+The cap `params.V` is the only truncation (the constructor drops, and a
+product skips, whatever lands above it); `capped(v)` re-truncates at v.
 Products are spelled out: `tmul` composes coefficients, `tcommutator`
 brackets them and `scale` multiplies by a number.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import factorial
 
 from .symbol import Symbol, TruncParams, commutator, compose, neumann
@@ -111,6 +114,10 @@ class TSeries:
     def monomial(cls, params: TruncParams, mono, sym: Symbol) -> "TSeries":
         return cls(params, {TMono(mono): sym})
 
+    def capped(self, v: int) -> "TSeries":
+        """The same series truncated at valuation v (a cap of its own)."""
+        return TSeries(replace(self.params, V=v), self.terms)
+
     def copy(self) -> "TSeries":
         """A series of its own, for a caller that edits `terms` in place
         (perfbench's perturbation tests)."""
@@ -127,14 +134,11 @@ class TSeries:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(s.is_zero(tol) for s in self.terms.values())
 
-    def norm(self, max_val: int | None = None, floor: int | None = None) -> float:
-        """Max over monomials (valuation <= max_val) of coefficient norms on orders >= floor."""
-        if max_val is None:
-            max_val = self.params.V
+    def norm(self, floor: int | None = None) -> float:
+        """Max over monomials of coefficient norms on orders >= floor."""
         best = 0.0
         for mono in self.monomials():
-            if mono.val <= max_val:
-                best = max(best, self.terms[mono].norm(floor))
+            best = max(best, self.terms[mono].norm(floor))
         return best
 
     def __add__(self, other: "TSeries") -> "TSeries":

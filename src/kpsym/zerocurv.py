@@ -78,13 +78,15 @@ def zs_residual(W: ConnForm, m: int, n: int, sign: int) -> float:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     theta = W if sign == 1 else ConnForm({k: -W.component(k) for k in (m, n)})
-    return curvature_entry(theta, m, n).norm(max_val=W.params.V - max(m, n))
+    return curvature_entry(theta, m, n).norm()
 
 
 def curvature_entry(theta: ConnForm, i: int, j: int) -> TSeries:
-    """F_{i,j} = d_i theta_j - d_j theta_i - [theta_i, theta_j] (1/2 absorbed)."""
+    """F_{i,j} = d_i theta_j - d_j theta_i - [theta_i, theta_j] (1/2 absorbed)
+    over valuations <= V - max(i, j), the ones the truncated form determines."""
+    cap = theta.params.V - max(i, j)
     ti, tj = theta.component(i), theta.component(j)
-    return ddt(tj, i) - ddt(ti, j) - tcommutator(ti, tj)
+    return ddt(tj, i).capped(cap) - ddt(ti, j).capped(cap) - tcommutator(ti.capped(cap), tj.capped(cap))
 
 
 def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int = 8) -> float:
@@ -105,13 +107,7 @@ def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int 
         raise ValueError(f"realization cutoff {Mr} outside [1, M={params.M}]")
     if k <= 0 or Q < 1:
         raise ValueError("need cube half-width k > 0 and at least one node")
-    F = curvature_entry(theta, i, j)
-    # keep the reliable jet only: monomials beyond val V - max(i, j) and
-    # orders below the reported floor are truncation bookkeeping, not
-    # curvature content, and would enter the trace at face value otherwise
-    cap = params.V - max(i, j)
-    F = TSeries(params, {m: s for m, s in F.terms.items() if m.val <= cap})
-    F = F.map_coeffs(lambda s: s.band(lo=params.F))
+    F = curvature_entry(theta, i, j).map_coeffs(lambda s: s.band(lo=params.F))
     nodes, weights = np.polynomial.legendre.leggauss(Q)
     nodes = nodes * k
     weights = weights * k

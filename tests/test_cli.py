@@ -100,6 +100,8 @@ def test_config_rejects_bad_shapes():
         {"flow_t_end": float("inf")},
         {"out_dir": 5},
         {"seed": -1},
+        {"V": 2},  # below K = 3: the t_3 checks would read no valuation
+        {"V": 0},
     ],
 )
 def test_config_rejected_before_running(tmp_path, raw):

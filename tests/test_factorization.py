@@ -23,10 +23,12 @@ from kpsym import (
     conj_consistency,
     conj_from,
     conj_t,
+    ddt,
     kp_residual,
     kp_solve,
     lax_defects,
     mulase_factorize,
+    tcommutator,
     tinvert,
     tmul,
 )
@@ -208,6 +210,29 @@ def test_kp_residual_small(small_jet, small_params):
         for defect in (kp_residual, lax_defects):
             with pytest.raises(ValueError):
                 defect(small_jet, n)
+    # with V < n the flow t_n reads no valuation: its cap V - n is refused
+    shallow = replace(small_params, V=2)
+    jet = kp_solve(dressing(shallow, {-1: LoopFn.cos(16)}), shallow)
+    for defect in (kp_residual, lax_defects):
+        with pytest.raises(ValueError, match="V >= 0"):
+            defect(jet, 3)
+
+
+def test_lax_defects_equal_the_uncapped_brackets(small_jet):
+    # reference: brackets over every valuation <= V, then the monomials of
+    # valuation <= V - n; the capped operands must give the same floats
+    L, V = small_jet.L, small_jet.params.V
+
+    def norm_up_to(X, cap):
+        return max([s.norm() for m, s in X.terms.items() if m.val <= cap], default=0.0)
+
+    for n in range(1, small_jet.params.K + 1):
+        Ln = small_jet.powers[n - 1]
+        rhs_d, rhs_s = tcommutator(Ln.d_part(), L), tcommutator(Ln.s_part(), L)
+        lhs = ddt(L, n)
+        residual = max(norm_up_to(lhs - rhs_d, V - n), norm_up_to(lhs + rhs_s, V - n))
+        want = (residual, norm_up_to(rhs_d + rhs_s, V - n))
+        assert [x.hex() for x in lax_defects(small_jet, n)] == [x.hex() for x in want]
 
 
 def test_second_conjugation_route_is_formed_on_first_read(small_params):

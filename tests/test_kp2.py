@@ -81,28 +81,23 @@ def test_check_sensitivity(small_jet, small_params):
 def synthetic_jets(params, rng, satisfy_eq1=True):
     """Random scalar jets; when satisfy_eq1 is set, the t2-dependence of u1 is
     filled in so that du1/dt2 = u1'' + 2 u2' holds exactly."""
-    u2 = TSeries.zero(params)
-    for mono in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0)]:
-        u2.set_term(mono, Symbol(params, {0: LoopFn.random_trig(rng, params.M, 3)}))
-    u1 = TSeries.zero(params)
-    seeds = {}
-    for mono in [(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 0, 0), (1, 0, 1)]:
-        seeds[mono] = LoopFn.random_trig(rng, params.M, 3)
-        u1.set_term(mono, Symbol(params, {0: seeds[mono]}))
+    def draw():
+        return Symbol(params, {0: LoopFn.random_trig(rng, params.M, 3)})
+
+    u2 = TSeries(params, {mono: draw() for mono in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0)]})
+    u1 = {TMono(mono): draw() for mono in [(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 0, 0), (1, 0, 1)]}
     if satisfy_eq1:
         # recursive fill: (a2 + 1) u1_{alpha + e2} = dx^2 u1_alpha + 2 dx u2_alpha
         for val in range(params.V):
-            for mono in list(u1.terms):
+            for mono in list(u1):
                 nxt = TMono((mono[0], mono[1] + 1, mono[2]))
                 if nxt.val > params.V:
                     continue
-                rhs = u1.terms[mono].map_coeffs(lambda f: f.dx(2)) + u2.term(mono).map_coeffs(
-                    lambda f: f.dx()
-                ).scale(2.0)
-                u1.terms[nxt] = rhs.scale(1.0 / (mono[1] + 1))
+                rhs = u1[mono].map_coeffs(lambda f: f.dx(2)) + u2.term(mono).map_coeffs(lambda f: f.dx()).scale(2.0)
+                u1[nxt] = rhs.scale(1.0 / (mono[1] + 1))
     else:
-        u1.set_term((0, 1, 0), Symbol(params, {0: LoopFn.random_trig(rng, params.M, 3)}))
-    return UPair(u1=u1, u2=u2)
+        u1[TMono((0, 1, 0))] = draw()
+    return UPair(u1=TSeries(params, u1), u2=u2)
 
 
 def test_equiv_t23_on_eq1_jets(small_params):

@@ -1,6 +1,9 @@
 """Valuation-graded series: products, exponentials, derivations, scaling,
 evaluation, and the ordered-product path exponential."""
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from kpsym import (
     power,
     product_integral,
     scale_h,
+    tcommutator,
     texp,
     tinvert,
     tmul,
@@ -55,6 +59,54 @@ def test_sum_rejects_mismatched_params():
     other = TruncParams(M=16, F=-6, g=6, V=3, K=3)
     with pytest.raises(ValueError, match="different truncation parameters"):
         TSeries.one(P) + TSeries.one(other)
+
+
+def full_series(params, rng):
+    """A random coefficient on every monomial of valuation <= V."""
+    monos = [TMono(a) for a in product(range(params.V + 1), repeat=params.K)]
+    return TSeries(
+        params,
+        {
+            mono: Symbol.from_terms(params, {1: LoopFn.random_trig(rng, M, 3), -1: LoopFn.random_trig(rng, M, 3)})
+            for mono in monos
+            if mono.val <= params.V
+        },
+    )
+
+
+def same_bits(a, b):
+    """Equal orders and coefficient values, signs of zeros included."""
+    return a.lo == b.lo and all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in ((a.c.real, b.c.real), (a.c.imag, b.c.imag))
+    )
+
+
+def test_capped_keeps_exactly_the_valuations_up_to_the_cap():
+    X = full_series(P, np.random.default_rng(6))
+    for v in range(P.V + 1):
+        C = X.capped(v)
+        assert C.params == replace(P, V=v)
+        assert C.monomials() == [m for m in X.monomials() if m.val <= v]
+        assert all(C.terms[m] is X.terms[m] for m in C.terms)
+    assert X.capped(0).monomials() == [TMono.zero(P.K)]
+    with pytest.raises(ValueError, match="V >= 0"):
+        X.capped(-1)
+    with pytest.raises(ValueError, match="different truncation parameters"):
+        tmul(X, X.capped(P.V - 1))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+def test_capped_products_equal_the_full_products_up_to_the_cap(wide):
+    params = P.with_wide(wide)
+    rng = np.random.default_rng(7)
+    X, Y = full_series(params, rng), full_series(params, rng)
+    for prod in (tmul, tcommutator):
+        full = prod(X, Y)
+        for v in range(params.V + 1):
+            got = prod(X.capped(v), Y.capped(v))
+            assert got.monomials() == [m for m in full.monomials() if m.val <= v]
+            assert all(same_bits(got.terms[m], full.terms[m]) for m in got.terms)
 
 
 def test_tmul_unit():

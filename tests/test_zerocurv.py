@@ -1,6 +1,8 @@
 """Zero-curvature residuals for both component families and the Yang-Mills
 quadrature on connection forms."""
 
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,12 @@ from kpsym import (
     TSeries,
     build_Z,
     curvature_entry,
+    ddt,
+    eval_t,
     kp_residual,
     kp_solve,
+    realize_matrix,
+    tcommutator,
     ym_value,
     zs_residual,
 )
@@ -77,6 +83,38 @@ def test_smoothing_form_residual_either_sign(forms, small_params):
     for m in range(1, 4):
         for n in range(m + 1, 4):
             assert zs_residual(Z_S, m, n, +1).hex() == zs_residual(-Z_S, m, n, -1).hex()
+
+
+def uncapped_entry(theta, i, j):
+    """F_ij from brackets over every valuation <= V, then its monomials of
+    valuation <= V - max(i, j): the reference for the capped operands."""
+    ti, tj = theta.component(i), theta.component(j)
+    F = ddt(tj, i) - ddt(ti, j) - tcommutator(ti, tj)
+    cap = theta.params.V - max(i, j)
+    return TSeries(F.params, {m: s for m, s in F.terms.items() if m.val <= cap})
+
+
+def test_zs_residual_equals_the_uncapped_reference(forms, small_params):
+    Z_D, Z_S = forms
+    for W in (Z_D, Z_S, -Z_S):
+        for m, n in permutations(range(1, small_params.K + 1), 2):
+            for sign in (1, -1):
+                theta = W if sign == 1 else ConnForm({k: -W.component(k) for k in (m, n)})
+                assert zs_residual(W, m, n, sign).hex() == uncapped_entry(theta, m, n).norm().hex()
+
+
+def test_ym_value_equals_the_uncapped_reference(forms, small_params):
+    k, n, Mr, Q = 0.05, 2, 8, 4
+    nodes, weights = np.polynomial.legendre.leggauss(Q)
+    for theta in forms:
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            F = uncapped_entry(theta, i, j).map_coeffs(lambda s: s.band(lo=small_params.F))
+            want = 0.0
+            for combo in product(range(Q), repeat=n):
+                t = [nodes[q] * k for q in combo] + [0.0] * (small_params.K - n)
+                w = float(np.prod([weights[q] * k for q in combo]))
+                want += w * float(np.sum(np.abs(realize_matrix(eval_t(F, t), Mr)) ** 2))
+            assert ym_value(theta, k, n, i, j, Mr, Q).hex() == want.hex()
 
 
 def test_zs_sign_flip_is_detected(forms):
