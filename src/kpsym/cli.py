@@ -2,8 +2,10 @@
 
 Subcommands: factorize, check, flow, paper-table.  Configuration is a JSON
 file; reports are canonical JSON (sorted keys, stable separators) so that
-identical config + seed produce byte-identical output.  Exit codes: 0 all
-checks pass, 1 at least one failed, 2 configuration error.
+identical config + seed produce byte-identical output.  A `RunConfig` and
+a `Report` are built once and then only read; a report holds the
+`criteria.Record`s and forms their JSON only in `to_json`.  Exit codes: 0
+all checks pass, 1 at least one failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from math import isfinite
 from pathlib import Path
@@ -35,7 +37,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     d: int = 1
     M: int = 32
@@ -67,12 +69,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, origin: str = "<config>") -> "RunConfig":
-        cfg = cls()
-        known = set(cfg.__dataclass_fields__)
-        for key, value in raw.items():
-            if key not in known:
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{origin}: a config is a JSON object, got {type(raw).__name__}")
+        for key in raw:
+            if key not in cls.__dataclass_fields__:
                 raise ConfigError(f"{origin}: unknown key '{key}'")
-            setattr(cfg, key, value)
+        cfg = cls(**raw)
         cfg.validate(origin)
         return cfg
 
@@ -147,41 +149,37 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
+    """The `criteria.Record`s of one command, as `select` returns them."""
+
     command: str
     config: RunConfig
-    seed: int
-    records: list = field(default_factory=list)
+    records: list
 
-    def add(self, name: str, anchor: str, value: float, tol: float, passed: bool | None = None,
-            message: str | None = None) -> None:
-        if anchor not in ANCHORS:
-            raise ValueError(f"unknown anchor tag '{anchor}'")
-        if passed is None:
-            passed = bool(value <= tol)
-        record = {
-            "name": name,
-            "anchor": anchor,
-            "value": float(value),
-            "tol": float(tol),
-            "pass": bool(passed),
-            "config_hash": config_hash(self.config),
-        }
-        self.records.append(record if message is None else {**record, "message": message})
+    def __post_init__(self):
+        for r in self.records:
+            if r.anchor not in ANCHORS:
+                raise ValueError(f"unknown anchor tag '{r.anchor}'")
 
     @property
     def ok(self) -> bool:
-        return all(r["pass"] for r in self.records)
+        return all(r.passed for r in self.records)
 
     def to_json(self) -> str:
+        digest = config_hash(self.config)
+        records = []
+        for r in self.records:
+            record = {"name": r.name, "anchor": r.anchor, "value": float(r.value), "tol": float(r.tol),
+                      "pass": bool(r.passed), "config_hash": digest}
+            records.append(record if r.message is None else {**record, "message": r.message})
         body = {
             "command": self.command,
             "engine_version": _version(),
             "config": self.config.canonical_dict(),
-            "config_hash": config_hash(self.config),
-            "seed": self.seed,
-            "records": self.records,
+            "config_hash": digest,
+            "seed": self.config.seed,
+            "records": records,
             "pass": self.ok,
         }
         return json.dumps(body, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
@@ -196,9 +194,9 @@ class Report:
     def summary(self) -> str:
         lines = []
         for r in self.records:
-            status = "pass" if r["pass"] else "FAIL"
-            why = f" - {r['message']}" if "message" in r else ""
-            lines.append(f"[{status}] {r['name']}: {r['value']:.3e} (tol {r['tol']:.1e}){why}")
+            status = "pass" if r.passed else "FAIL"
+            why = "" if r.message is None else f" - {r.message}"
+            lines.append(f"[{status}] {r.name}: {float(r.value):.3e} (tol {float(r.tol):.1e}){why}")
         lines.append(f"=> {'all passed' if self.ok else 'FAILURES present'}")
         return "\n".join(lines)
 
@@ -209,19 +207,12 @@ def _version() -> str:
     return __version__
 
 
-def _report(command: str, cfg: RunConfig, groups: list, only) -> Report:
-    report = Report(command, cfg, cfg.seed)
-    for record in select(groups, only):
-        report.add(*record)
-    return report
-
-
 def cmd_factorize(cfg: RunConfig, only=None) -> Report:
     params = cfg.params()
     crit = cache(lambda: JetCriteria(kp_solve(cfg.build_s0(params), params)))
     names = ["factorize/su-equals-y", "factorize/y-strictly-differential", "factorize/growth-condition"]
     groups = [(names, lambda: crit().factorization()), (["factorize/lipschitz-ratio-stable"], lambda: crit().lipschitz())]
-    return _report("factorize", cfg, groups, only)
+    return Report("factorize", cfg, select(groups, only))
 
 
 def cmd_check(cfg: RunConfig, only=None) -> Report:
@@ -242,7 +233,7 @@ def cmd_check(cfg: RunConfig, only=None) -> Report:
         (["scaling/covariance-h2"], lambda: crit().scaling()),
         (["product-integral/rate-n64", "product-integral/rate-n128"], lambda: product_integral_rates(gen)),
     ]
-    return _report("check", cfg, groups, only)
+    return Report("check", cfg, select(groups, only))
 
 
 def cmd_flow(cfg: RunConfig, only=None) -> Report:
@@ -260,7 +251,7 @@ def cmd_flow(cfg: RunConfig, only=None) -> Report:
 
     groups = [([f"flow/jet-ratio-t{n}"], partial(jet_ratio, n)) for n in (2, 3)]
     groups.append((["flow/commute-12"], lambda: [flow_commute(L0(), cfg.flow_t_end)]))
-    return _report("flow", cfg, groups, only)
+    return Report("flow", cfg, select(groups, only))
 
 
 def cmd_paper_table(cfg: RunConfig, only=None) -> Report:
@@ -276,14 +267,16 @@ def cmd_paper_table(cfg: RunConfig, only=None) -> Report:
 
     names = [f"table/L{p}/sigma{s}" for p in (2, 3) for s in (3, 2, 1, 0)]
     names += ["table/bracket-sigma1", "table/bracket-sigma0"]
-    return _report("paper-table", cfg, [(names, table)], only)
+    return Report("paper-table", cfg, select([(names, table)], only))
 
 
 def _kernel_summary(before: dict, after: dict) -> str:
-    """Composition work of one command: `compose` calls, compose-plan
-    cache hits and misses, and the plans held at the end."""
+    """Composition work of one command: `compose` calls, kernel runs (from
+    `compose` or `commutator`, one plan lookup each: the hits plus misses),
+    compose-plan cache hits and misses, and the plans held at the end."""
     calls, hits, misses = (after[k] - before[k] for k in ("compose_calls", "plan_hits", "plan_misses"))
-    return f"compose: {calls} calls; plan cache: {hits} hits, {misses} misses, {after['plans']} plans held"
+    return (f"compose: {calls} calls, {hits + misses} kernel runs; "
+            f"plan cache: {hits} hits, {misses} misses, {after['plans']} plans held")
 
 
 COMMANDS = {
@@ -304,15 +297,13 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
         p.add_argument("--only", default=None, help="comma-separated record-name prefixes to keep")
         p.add_argument("--verbose", action="store_true",
-                       help="print composition counts and plan-cache use to stderr")
+                       help="print compose calls, kernel runs and plan-cache use to stderr")
     args = parser.parse_args(argv)
 
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
+        overrides = {"seed": args.seed, "out_dir": args.out}
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate("<command line>")  # the file passed; only the overrides can fail
         only = args.only.split(",") if args.only else None
         before = plan_stats()

@@ -43,7 +43,7 @@ class FlowBlowup(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class UPair:
     """The pair (u_{-1}, u_{-2}); series-valued for jets, plain functions for
     numeric flow states."""
@@ -52,12 +52,12 @@ class UPair:
     u2: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowState:
+    """The operator a flow reached and the time it reached it at."""
+
     L: Symbol
     t: float
-    n: int
-    dt: float
 
 
 def _scalar_jet(X: TSeries, order: int) -> TSeries:
@@ -182,7 +182,7 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float
         t += dt
         if not L.sup_norm(floor=L.params.F) <= blowup:  # a NaN fails this test too
             raise FlowBlowup(f"coefficient sup-norm exceeded {blowup:.1e} at t={t:.4g}")
-    return FlowState(L=L, t=t, n=n, dt=dt)
+    return FlowState(L=L, t=t)
 
 
 def flows_commute(L0: Symbol, n: int, m: int, t: float, dt: float) -> float:

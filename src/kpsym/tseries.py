@@ -8,8 +8,9 @@ series are finite sums, exact in the truncated algebra.
 
 A `TSeries` holds only its nonzero coefficients, so, as for `Symbol`, the
 values are the only record of which monomials are present.  Its
-constructor is the one place that writes them: every operation fills a
-plain dict and builds its result once, and series are shared, not copied.
+constructor is the one place that writes them and no method edits a built
+series: every operation fills a plain dict and builds its result once, so
+series (and what a `KPJet` caches from them) are shared, not copied.
 The cap `params.V` is the only truncation (the constructor drops, and a
 product skips, whatever lands above it); `capped(v)` re-truncates at v.
 Products are spelled out: `tmul` composes coefficients, `tcommutator`
@@ -80,23 +81,15 @@ class TSeries:
     __slots__ = ("params", "terms")
 
     def __init__(self, params: TruncParams, terms: dict | None = None):
+        """Keep the nonzero coefficients of `terms` at valuations <= params.V."""
         self.params = params
         self.terms = {}
         for mono, sym in (terms or {}).items():
-            self.set_term(mono, sym)
-
-    def set_term(self, mono, sym: Symbol) -> None:
-        """Set the coefficient of `mono`; a zero `sym` clears it, and a
-        monomial beyond the cap V is dropped."""
-        mono = TMono(mono)
-        if len(mono) != self.params.K:
-            raise ValueError(f"monomial has {len(mono)} exponents, params.K = {self.params.K}")
-        if mono.val > self.params.V:
-            return
-        if sym.is_zero():
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = sym
+            mono = TMono(mono)
+            if len(mono) != params.K:
+                raise ValueError(f"monomial has {len(mono)} exponents, params.K = {params.K}")
+            if mono.val <= params.V and not sym.is_zero():
+                self.terms[mono] = sym
 
     @classmethod
     def zero(cls, params: TruncParams) -> "TSeries":

@@ -145,15 +145,15 @@ def test_criterion_9_structural_invariants():
     params = TruncParams(M=8, F=-4, N=6, g=4, V=3, K=3)
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        X = TSeries.zero(params)
-        X.set_term((0, 0, 0), Symbol.identity(params))
+        terms = {(0, 0, 0): Symbol.identity(params)}
         for mono in [(1, 0, 0), (0, 1, 0), (2, 0, 0)]:
             val = TMono(mono).val
             orders = {
                 n: LoopFn.random_trig(rng, params.M, 2)
                 for n in range(-2, min(val, 1) + 1)
             }
-            X.set_term(mono, Symbol(params, orders))
+            terms[mono] = Symbol(params, orders)
+        X = TSeries(params, terms)
         Y = tmul(X, X)
         Y.assert_growth(params.N)
         Y.assert_growth(0)

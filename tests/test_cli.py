@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from functools import partial
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 import kpsym
 from kpsym import LoopFn, Symbol, TSeries, build_Z, kp_solve, ym_value
+from kpsym.criteria import Record
 from kpsym.symbol import plan_stats
 from kpsym.cli import (
     ANCHORS,
@@ -56,6 +58,12 @@ def test_config_defaults_valid():
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"unknown_field": 1})
+
+
+def test_config_is_frozen():
+    cfg = tiny_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 4
 
 
 def test_config_rejects_order_zero_dressing():
@@ -102,6 +110,7 @@ def test_config_rejects_bad_shapes():
         {"seed": -1},
         {"V": 2},  # below K = 3: the t_3 checks would read no valuation
         {"V": 0},
+        [],  # not a JSON object
     ],
 )
 def test_config_rejected_before_running(tmp_path, raw):
@@ -129,9 +138,8 @@ def test_config_file_errors(tmp_path):
 
 
 def test_report_anchor_whitelist():
-    rep = Report("check", RunConfig(), 0)
-    with pytest.raises(ValueError):
-        rep.add("x", "not-an-anchor", 0.0, 1.0)
+    with pytest.raises(ValueError, match="unknown anchor tag 'not-an-anchor'"):
+        Report("check", RunConfig(), [Record("x", "not-an-anchor", 0.0, 1.0, True)])
 
 
 def test_paper_table_given_inputs():
@@ -144,14 +152,144 @@ def test_paper_table_given_inputs():
     )
     rep = cmd_paper_table(cfg)
     assert rep.ok
-    assert all(r["value"] <= 1e-10 for r in rep.records)
+    assert all(r.value <= 1e-10 for r in rep.records)
+
+
+# The report of `cmd_paper_table(tiny_config(u_table=[{}, {}]))`, byte for byte.
+ZERO_TABLE_REPORT = """{
+ "command": "paper-table",
+ "config": {
+  "F": -5,
+  "K": 3,
+  "M": 12,
+  "Mr": 8,
+  "N": 8,
+  "Q": 6,
+  "V": 6,
+  "cube_k": 0.05,
+  "cube_n": 2,
+  "d": 1,
+  "flow_t_end": 0.01,
+  "g": 7,
+  "out_dir": ".",
+  "s0": [
+   [
+    -1,
+    {
+     "-1": [
+      0.5,
+      0.0
+     ],
+     "1": [
+      0.5,
+      0.0
+     ]
+    }
+   ]
+  ],
+  "seed": 3,
+  "u_table": [
+   {},
+   {}
+  ],
+  "wide": true
+ },
+ "config_hash": "76f6e3925393e27e",
+ "engine_version": "0.1.0",
+ "pass": true,
+ "records": [
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L2/sigma3",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L2/sigma2",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L2/sigma1",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L2/sigma0",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L3/sigma3",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L3/sigma2",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L3/sigma1",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/L3/sigma0",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/bracket-sigma1",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  },
+  {
+   "anchor": "symbol-table",
+   "config_hash": "76f6e3925393e27e",
+   "name": "table/bracket-sigma0",
+   "pass": true,
+   "tol": 1e-10,
+   "value": 0.0
+  }
+ ],
+ "seed": 3
+}
+"""
 
 
 def test_paper_table_zero_inputs():
     cfg = tiny_config(u_table=[{}, {}])
     rep = cmd_paper_table(cfg)
     assert rep.ok
-    assert all(r["value"] == 0.0 for r in rep.records)
+    assert all(r.value == 0.0 for r in rep.records)
+    assert rep.to_json() == ZERO_TABLE_REPORT
 
 
 def test_report_bytes_stable(tmp_path):
@@ -166,16 +304,16 @@ def test_report_bytes_stable(tmp_path):
 def test_factorize_command():
     rep = cmd_factorize(tiny_config())
     assert rep.ok, rep.summary()
-    names = {r["name"] for r in rep.records}
+    names = {r.name for r in rep.records}
     assert "factorize/su-equals-y" in names
-    assert all(r["anchor"] in ANCHORS for r in rep.records)
+    assert all(r.anchor in ANCHORS for r in rep.records)
 
 
 @pytest.mark.slow
 def test_check_command():
     rep = cmd_check(tiny_config())
-    assert all(r["anchor"] in ANCHORS for r in rep.records)
-    failing = [r["name"] for r in rep.records if not r["pass"]]
+    assert all(r.anchor in ANCHORS for r in rep.records)
+    failing = [r.name for r in rep.records if not r.passed]
     assert not failing, f"failing records: {failing}\n{rep.summary()}"
 
 
@@ -225,8 +363,9 @@ def test_verbose_reports_kernel_use(tmp_path, capsys):
     loud = capsys.readouterr()
     assert loud.out == quiet.out and report.read_bytes() == quiet_bytes
     assert quiet.err == ""
-    # L^2 and L^3 take 3 compose calls; the bracket's two products are not compose calls
-    m = re.fullmatch(r"compose: 3 calls; plan cache: (\d+) hits, (\d+) misses, (\d+) plans held\n", loud.err)
+    # L^2 and L^3 take 3 compose calls; the bracket runs the kernel twice more
+    m = re.fullmatch(r"compose: 3 calls, 5 kernel runs; plan cache: (\d+) hits, (\d+) misses, (\d+) plans held\n",
+                     loud.err)
     assert m, loud.err
     hits, misses, held = map(int, m.groups())
     # the first run left every plan of the second in the cache
@@ -237,8 +376,8 @@ def test_flow_command_writes_tables(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path), flow_t_end=0.005)
     rep = cmd_flow(cfg)
     assert (tmp_path / "flow_convergence_t2.dat").exists()
-    names = {r["name"]: r for r in rep.records}
-    assert names["flow/commute-12"]["pass"]
+    names = {r.name: r for r in rep.records}
+    assert names["flow/commute-12"].passed
 
 
 def test_flow_blowup_reason_reported(tmp_path, capsys):
@@ -251,9 +390,8 @@ def test_flow_blowup_reason_reported(tmp_path, capsys):
     assert record["message"].startswith("coefficient sup-norm exceeded 1.0e+06 at t=")
     assert line == f"[FAIL] flow/jet-ratio-t3: 0.000e+00 (tol 9.0e+01) - {record['message']}"
     # a record without a message keeps its keys and its summary line
-    rep = Report("flow", tiny_config(), 3)
-    rep.add("flow/commute-12", "flow", 3.388e-15, 1e-6)
-    assert set(rep.records[0]) == {"name", "anchor", "value", "tol", "pass", "config_hash"}
+    rep = Report("flow", tiny_config(), [Record("flow/commute-12", "flow", 3.388e-15, 1e-6, True)])
+    assert set(json.loads(rep.to_json())["records"][0]) == {"name", "anchor", "value", "tol", "pass", "config_hash"}
     assert rep.summary().splitlines()[0] == "[pass] flow/commute-12: 3.388e-15 (tol 1.0e-06)"
 
 
@@ -270,7 +408,7 @@ def test_check_yang_mills_record_is_worst_perturbation():
         bump = LoopFn.random_trig(rng, params.M, 2, amp=1e-2)
         ratios.append(base / ym(Z_S.add_term(3, TSeries.monomial(params, (0, 1, 0), Symbol(params, {-1: bump})))))
     assert min(ratios) < max(ratios)
-    assert record["value"] == max(ratios)
+    assert record.value == max(ratios)
 
 
 # A reduced scale keeps the repeated runs of each command cheap.
@@ -298,6 +436,6 @@ def test_only_runs_selected_groups(tmp_path, command, selections):
     full, full_calls = run(None)
     for only, skips_a_group in selections:
         records, calls = run(only)
-        assert records == [r for r in full if any(r["name"].startswith(p) for p in only)]
+        assert records == [r for r in full if any(r.name.startswith(p) for p in only)]
         assert records and (calls < full_calls) == skips_a_group
     assert run(["none/such"]) == ([], 0)

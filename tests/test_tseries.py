@@ -50,9 +50,12 @@ def test_series_hold_only_nonzero_terms():
     # and the exponential's powers keep no zero coefficient either
     for series in (tinvert(TSeries.one(P) + X), texp(X), tmul(X, X - X)):
         assert all(not s.is_zero() for s in series.terms.values())
-    Z = X + X
-    Z.set_term((1, 0, 0), Symbol.zero(P))  # a zero coefficient clears the term
-    assert Z.terms == {}
+    # the constructor drops a zero coefficient and a monomial above the cap,
+    # and refuses one with the wrong number of exponents
+    assert TSeries(P, {(1, 0, 0): Symbol.zero(P), (0, 1, 0): Symbol.xi(P)}).monomials() == [(0, 1, 0)]
+    assert TSeries(P, {(P.V + 1, 0, 0): Symbol.xi(P)}).terms == {}
+    with pytest.raises(ValueError, match="2 exponents"):
+        TSeries(P, {(1, 0): Symbol.xi(P)})
 
 
 def test_sum_rejects_mismatched_params():
@@ -164,9 +167,7 @@ def test_texp_t1t2_coefficient_oracle():
     # oracle: direct expansion of the double series; commuting generators give
     # coefficient L0^3 at t1 t2
     L0 = Symbol.from_terms(P, {1: LoopFn.const(1, M, 1.0), -1: LoopFn.sin(M)})
-    gen = TSeries.zero(P)
-    gen.set_term(TMono.unit(3, 1), L0)
-    gen.set_term(TMono.unit(3, 2), power(L0, 2))
+    gen = TSeries(P, {TMono.unit(3, 1): L0, TMono.unit(3, 2): power(L0, 2)})
     E = texp(gen)
     oracle = compose(L0, power(L0, 2))
     assert (E.term((1, 1, 0)) - oracle).norm(floor=P.F) < 1e-10
@@ -178,8 +179,8 @@ def test_texp_rejects_val0():
 
 
 def test_texp_inverse_pair():
-    X = TSeries.monomial(P, (1, 0, 0), Symbol.from_terms(P, {-1: LoopFn.cos(M)}))
-    X.set_term((0, 1, 0), Symbol.from_terms(P, {-2: LoopFn.sin(M, 2)}))
+    X = TSeries(P, {(1, 0, 0): Symbol.from_terms(P, {-1: LoopFn.cos(M)}),
+                    (0, 1, 0): Symbol.from_terms(P, {-2: LoopFn.sin(M, 2)})})
     prod = tmul(texp(X), texp(-X))
     assert (prod - TSeries.one(P)).norm() < 1e-10
 
@@ -203,9 +204,8 @@ def test_ddt_basics():
 
 def test_mixed_partials_commute():
     rng = np.random.default_rng(3)
-    X = TSeries.zero(P)
-    for mono in [(1, 0, 0), (2, 1, 0), (0, 2, 0), (1, 0, 1)]:
-        X.set_term(mono, Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 3)}))
+    monos = [(1, 0, 0), (2, 1, 0), (0, 2, 0), (1, 0, 1)]
+    X = TSeries(P, {mono: Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 3)}) for mono in monos})
     for n, m in [(1, 2), (1, 3), (2, 3)]:
         a = ddt(ddt(X, n), m)
         b = ddt(ddt(X, m), n)
@@ -229,13 +229,12 @@ def test_eval_t():
 
 def test_eval_homomorphism_up_to_cap():
     rng = np.random.default_rng(4)
-    X = TSeries.zero(P)
-    Y = TSeries.zero(P)
-    X.set_term((0, 0, 0), Symbol.from_terms(P, {0: LoopFn.const(1, M, 1.0)}))
-    Y.set_term((0, 0, 0), Symbol.from_terms(P, {0: LoopFn.const(1, M, 1.0)}))
+    one = Symbol.from_terms(P, {0: LoopFn.const(1, M, 1.0)})
+    x_terms, y_terms = {(0, 0, 0): one}, {(0, 0, 0): one}
     for mono in [(1, 0, 0), (0, 1, 0)]:
-        X.set_term(mono, Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 2)}))
-        Y.set_term(mono, Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 2)}))
+        x_terms[mono] = Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 2)})
+        y_terms[mono] = Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 2)})
+    X, Y = TSeries(P, x_terms), TSeries(P, y_terms)
     t = (0.05, 0.05, 0.0)
     lhs = eval_t(tmul(X, Y), t)
     rhs = compose(eval_t(X, t), eval_t(Y, t))
@@ -245,9 +244,8 @@ def test_eval_homomorphism_up_to_cap():
 
 def test_scale_h_identity_and_inverse():
     rng = np.random.default_rng(5)
-    X = TSeries.zero(P)
-    for mono in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]:
-        X.set_term(mono, Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 2), 1: LoopFn.random_trig(rng, M, 2)}))
+    X = TSeries(P, {mono: Symbol.from_terms(P, {-1: LoopFn.random_trig(rng, M, 2), 1: LoopFn.random_trig(rng, M, 2)})
+                    for mono in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]})
     assert (scale_h(X, 1.0) - X).norm() == 0.0
     back = scale_h(scale_h(X, 2.0), 0.5)
     assert (back - X).norm() < 1e-12
