@@ -185,9 +185,8 @@ class Report:
         return json.dumps(body, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
     def write(self, out_dir: str) -> Path:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{self.command.replace('-', '_')}_report.json"
+        """Write the report into the existing directory `out_dir`."""
+        path = Path(out_dir) / f"{self.command.replace('-', '_')}_report.json"
         path.write_text(self.to_json())
         return path
 
@@ -305,10 +304,20 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "out_dir": args.out}
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate("<command line>")  # the file passed; only the overrides can fail
-        only = args.only.split(",") if args.only else None
+        only = None if args.only is None else [p for p in args.only.split(",") if p]
+        if only == []:
+            raise ConfigError(f"--only {args.only!r} names no record prefix")
+        out = Path(cfg.out_dir)
+        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: {e}")
         before = plan_stats()
         report = COMMANDS[args.command](cfg, only=only)
         if only and not report.records:
+            for d in made:
+                d.rmdir()
             raise ConfigError(f"--only {args.only!r} matches no record of {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

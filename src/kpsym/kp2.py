@@ -154,8 +154,9 @@ def _flow_rhs(L: Symbol, n: int) -> Symbol:
 def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float = 1e6) -> FlowState:
     """Classical 4th-order explicit stepping of dL/dt_n = -[(L^n)_S, L].
 
-    The stepping runs in double precision (a wide-mode operator is narrowed
-    on entry).  After each step the state is mode-filtered at
+    The stepping runs in double precision: a wide-mode operator raises
+    ValueError (narrow it first with `Symbol.narrow`), as does a negative
+    t_end.  After each step the state is mode-filtered at
     FILTER_FRAC * M: near-cutoff rounding junk would otherwise be amplified
     explosively by the high-derivative couplings that feed the guard band
     (the true content there is exponentially small for smooth data).
@@ -165,10 +166,12 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
+    if t_end < 0:
+        raise ValueError(f"end time must be >= 0, got {t_end}")
     if L0.order != 1:
         raise ValueError("flow expects an order-1 operator")
     if L0.params.wide:
-        L0 = L0.narrow()
+        raise ValueError("flow steps in double precision; narrow the operator first")
     mf = int(FILTER_FRAC * L0.params.M)
     steps = int(round(t_end / dt))
     L = L0.mode_filter(mf)

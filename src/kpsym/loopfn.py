@@ -15,12 +15,12 @@ import numpy as np
 __all__ = ["LoopFn"]
 
 
-def support(c: np.ndarray) -> int:
-    """Mode support of the coefficients c of shape (2M+1, d, d): the smallest
-    s with every nonzero mode in |m| <= s, 0 when all are zero."""
-    M = len(c) // 2
-    nz = np.flatnonzero(c.any(axis=(1, 2)))
-    return int(max(M - nz[0], nz[-1] - M)) if nz.size else 0
+def support(c: np.ndarray) -> np.ndarray:
+    """Mode supports of coefficients c of shape (..., 2M+1, d, d), one per
+    leading index: the smallest s with every nonzero mode in |m| <= s, 0
+    when all are zero."""
+    M = c.shape[-3] // 2
+    return np.where(c.any(axis=(-2, -1)), np.abs(np.arange(-M, M + 1)), 0).max(-1)
 
 
 class LoopFn:
@@ -53,7 +53,7 @@ class LoopFn:
     @property
     def mmax(self) -> int:
         """Mode support of the coefficients (see `support`)."""
-        return support(self.c)
+        return int(support(self.c))
 
     # -- constructors ------------------------------------------------------
 

@@ -359,13 +359,13 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     later compositions amplify exactly that high-mode junk.  In wide mode
     (d = 1 only) each left order makes one extended-precision np.convolve of
     its rows laid end to end, each trimmed to the measured mode supports
-    and padded so that rows do not mix; the weights hold exact integer
-    falling factorials.
+    and padded so that rows do not mix; supports are measured once per operand.
 
     The index work comes from a cached `_Plan`; per call this fills the
     derivative stack, runs one gather and one product per left order and
     adds each (n, k) block of rows into its output orders, in the array the
-    result keeps.  Modes and orders no term reaches come out exactly zero.
+    result keeps.  Modes and orders no term reaches come out exactly zero;
+    a plan with no steps gives the zero symbol.
     """
     params = A.params
     d, M, wide = params.d, params.M, params.wide
@@ -373,8 +373,6 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
         return Symbol.zero(params)
     a_live = tuple(A._live().tolist())
     plan = _plan(d, M, params.floor, params.deform, wide, kmin, A.lo, a_live, B.lo, len(B.c))
-    if plan.kmax < 0:
-        return Symbol.zero(params)
 
     L = 2 * M + 1
     dt = params.dtype
@@ -387,7 +385,7 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     out = np.zeros((plan.nq, d * L * d), dtype=dt)
     if wide:
         nB = len(B.c)
-        b_sup = np.array([support(b) for b in B.c])
+        a_sup, b_sup = support(A.c), support(B.c)
     else:
         t_idx = _toeplitz_index(d, M)
         apad = np.zeros((4 * M + 1) * d * d, dtype=dt)
@@ -399,7 +397,7 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
             # zeros, so segments do not mix; the extra terms of each output
             # sum are exact zeros, and a segment is never shorter than the
             # kernel, so the sums run as in a row-by-row np.convolve
-            s = support(an)
+            s = int(a_sup[n - A.lo])
             t = max(int(b_sup[rows % nB].max()), s)
             u = min(M, t + s)  # output modes |q| <= u
             seg = np.zeros((len(rows), 2 * t + 1 + 2 * s), dtype=dt)
@@ -419,24 +417,26 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
             dst[t0:t1] += conv[r0:r1]
 
     c = np.ascontiguousarray(out.reshape(plan.nq, d, L, d).transpose(0, 2, 3, 1))
-    return _packed(params, plan.q_lo, c)
+    return _packed(params, params.floor, c)
 
 
 class _Plan:
     """What `_compose` needs beyond the coefficient values, for one signature:
     d, M, floor, deform, wide, kmin, the left operand's lowest order and
     which of its orders are nonzero, and the right operand's lowest order
-    and number of orders.  Mode supports are not part of it: the kernel
-    convolves every mode.
+    and number of orders.  Mode supports are not part of it: they are
+    measured from the values on every call.
 
-    - kmax: the highest Leibniz order k taken; q_lo, nq: the output order
-      range floor .. q_lo + nq - 1.
+    - kmax: the highest Leibniz order k of any left order (-1 when none);
+      nq: the number of output orders floor .. floor + nq - 1.
     - steps: one (n, rows, weights, blocks) per nonzero left order n with a
-      term in range.  `rows` indexes the flattened derivative stack
-      (k, right order m, column j) in (k, m) order; `weights` holds the real
-      factor eps^k/k! n(n-1)...(n-k+1) of each row; `blocks` holds one
+      term in range: k <= n + nb - floor, and k <= n for n >= 0, where the
+      falling factorial vanishes beyond.  `rows` indexes the flattened
+      derivative stack (k, right order m, column j) in (k, m) order;
+      `weights` holds the factor eps^k/k! n(n-1)...(n-k+1) of each row, in
+      real arithmetic of the coefficients' precision; `blocks` holds one
       row (t0, t1, r0, r1) per k: row groups r0:r1 add into output orders
-      q_lo + t0 .. q_lo + t1 - 1, a row group being the d rows of one m.
+      floor + t0 .. floor + t1 - 1, a row group being the d rows of one m.
 
     Blocks are added in the (n, k) order of the Leibniz sum.  Within a block
     the output orders are distinct, so each output coefficient receives its
@@ -445,38 +445,29 @@ class _Plan:
     desk-scale flow take about 0.8 MB.
     """
 
-    __slots__ = ("kmax", "q_lo", "nq", "steps")
+    __slots__ = ("kmax", "nq", "steps")
 
     def __init__(self, d, M, floor, eps, wide, kmin, a_lo, a_live, fb, nB):
         a_orders = [a_lo + i for i, live in enumerate(a_live) if live]
         nb = fb + nB - 1
-        self.kmax = max((n + nb - floor if n < 0 else min(n, n + nb - floor)) for n in a_orders)
-        self.q_lo = floor
+        real = np.longdouble if wide else float
         self.nq = max(a_orders[-1] + nb - floor + 1, 0)
-        self.steps = []
+        self.kmax, self.steps = -1, []
         for n in a_orders:
-            kcap = n + nb - floor
-            if n >= 0:
-                kcap = min(kcap, n)
+            kcap = n + nb - floor if n < 0 else min(n, n + nb - floor)
+            self.kmax = max(self.kmax, kcap)
             rows, weights, blocks = [], [], []
             r0, fall = 0, 1
             for k in range(kcap + 1):
                 if k > 0:
                     fall *= n - (k - 1)
-                if fall == 0:
-                    break
                 if k < kmin:
                     continue
                 m_lo = max(fb, floor - n + k)
-                if m_lo > nb:
-                    continue
-                if wide:
-                    w = (np.clongdouble(fall) * np.clongdouble(eps) ** k / np.clongdouble(factorial(k))).real
-                else:
-                    w = fall * eps**k / factorial(k)
+                w = real(fall) * real(eps) ** k / real(factorial(k))
                 count = nb - m_lo + 1
                 rows.append(np.arange((k * nB + m_lo - fb) * d, (k + 1) * nB * d, dtype=np.int32))
-                weights.append(np.full(count * d, w, dtype=np.longdouble if wide else float))
+                weights.append(np.full(count * d, w, dtype=real))
                 t0 = n - k + m_lo - floor
                 blocks.append((t0, t0 + count, r0, r0 + count))
                 r0 += count

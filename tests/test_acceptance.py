@@ -52,6 +52,7 @@ def _random_dressings(params, count=5, seed=202):
     ]
 
 
+@pytest.mark.slow
 def test_criterion_2_factorization(desk_params, desk_jet):
     jets = [desk_jet] + [kp_solve(S0, desk_params) for S0 in _random_dressings(desk_params)]
     checks = [values(JetCriteria(jet).factorization()) for jet in jets]
@@ -117,6 +118,7 @@ def flow_base(desk_jet):
     return desk_jet.L0.narrow()
 
 
+@pytest.mark.slow
 def test_criterion_8_direction_t2(flow_base):
     L0 = flow_base
     ratio = flow_jet_ratio(L0, 2, 0.01, 6)[0].value

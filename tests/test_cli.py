@@ -309,7 +309,6 @@ def test_factorize_command():
     assert all(r.anchor in ANCHORS for r in rep.records)
 
 
-@pytest.mark.slow
 def test_check_command():
     rep = cmd_check(tiny_config())
     assert all(r.anchor in ANCHORS for r in rep.records)
@@ -343,6 +342,27 @@ def test_only_matching_nothing_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_only_drops_empty_prefixes(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY))
+    args = ["paper-table", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert main(args + ["--only", "table/L2/,"]) == 0
+    records = json.loads((tmp_path / "paper_table_report.json").read_text())["records"]
+    assert [r["name"] for r in records] == [f"table/L2/sigma{s}" for s in (3, 2, 1, 0)]
+    capsys.readouterr()
+    assert main(args + ["--only", ","]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unusable_out_dir_exits_2_before_running(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    before = plan_stats()["compose_calls"]
+    assert main(["paper-table", "--out", str(blocker / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert plan_stats()["compose_calls"] == before
+
+
 def test_import_loads_no_cli_criteria_or_scipy():
     # `import kpsym` is the set-up cost of every process that uses the library
     code = "import sys, kpsym; print(sorted({'kpsym.cli', 'kpsym.criteria', 'scipy'} & set(sys.modules)))"
@@ -372,6 +392,7 @@ def test_verbose_reports_kernel_use(tmp_path, capsys):
     assert (hits, misses) == (5, 0) and held >= 4
 
 
+@pytest.mark.slow
 def test_flow_command_writes_tables(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path), flow_t_end=0.005)
     rep = cmd_flow(cfg)
@@ -422,7 +443,8 @@ ONLY_SCALE = {"M": 8, "F": -4, "g": 4, "V": 4, "Mr": 6, "Q": 4}
         (cmd_paper_table, [(["table/L3/"], False)]),
         (cmd_factorize, [(["factorize/su"], True), (["factorize/y", "factorize/lip"], False)]),
         (cmd_check, [(["product-integral"], True), (["kp/res", "zs/s-form-23", "scaling"], True)]),
-        (cmd_flow, [(["flow/jet-ratio-t2"], True), (["flow/jet", "flow/commute-99"], True)]),
+        pytest.param(cmd_flow, [(["flow/jet-ratio-t2"], True), (["flow/jet", "flow/commute-99"], True)],
+                     marks=pytest.mark.slow),
     ],
 )
 def test_only_runs_selected_groups(tmp_path, command, selections):

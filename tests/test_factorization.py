@@ -173,7 +173,6 @@ def dense_oracle(U, params):
     return S, Y
 
 
-@pytest.mark.slow
 def test_recursion_matches_dense_solve():
     params = TruncParams(M=8, F=-4, g=4, V=3, K=3)
     S0 = dressing(params, {-1: LoopFn.cos(8)})

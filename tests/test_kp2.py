@@ -132,6 +132,10 @@ def test_flow_rejects_bad_input(small_params):
         flow_delinearized(Symbol.xi(small_params), 2, 0.01, -1.0)
     with pytest.raises(ValueError):
         flow_delinearized(Symbol.xi(small_params, 2), 2, 0.01, 0.001)
+    with pytest.raises(ValueError, match="end time"):
+        flow_delinearized(Symbol.xi(small_params), 2, -0.01, 0.001)
+    with pytest.raises(ValueError, match="double precision"):
+        flow_delinearized(Symbol.xi(small_params.with_wide(True)), 2, 0.01, 0.001)
 
 
 def test_flow_order_preservation(small_jet, small_params):
@@ -217,6 +221,7 @@ def test_flow_jet_consistency_dir2(small_jet, small_params):
     assert errs[0] / errs[1] >= 0.7 * 2**7
 
 
+@pytest.mark.slow
 def test_flows_commute_12(small_jet):
     assert flows_commute(small_jet.L0, 1, 2, 0.01, 0.01 / 256) < 1e-6
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kpsym import LoopFn
+from kpsym.loopfn import support
 
 M = 16
 
@@ -112,6 +113,18 @@ def test_shift_x():
     shifted = f.shift_x(tau)
     x = 1.1
     assert abs(shifted.eval_at(x)[0, 0] - f.eval_at(x + tau)[0, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_support_per_leading_index(d):
+    # one pass over a stack gives, per coefficient, the largest |m| with a
+    # nonzero mode; an all-zero coefficient reads 0
+    modes = [{}, {0: 1.0}, {-3: 1.0}, {2: 1.0, -1: 1.0}, {M: 1.0}, {-M: 1.0, 5: 1.0}]
+    fs = [LoopFn.from_modes(d, M, table) for table in modes]
+    stack = np.stack([f.c for f in fs])
+    expected = [max(map(abs, table), default=0) for table in modes]
+    assert support(stack).tolist() == expected == [f.mmax for f in fs]
+    assert support(stack.astype(np.clongdouble)[None]).tolist() == [expected]
 
 
 def _exact(z):

@@ -11,7 +11,7 @@ closed forms for powers of L = xi + u1 xi^-1 + u2 xi^-2:
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from kpsym import (
     conj,
     hs_inner,
     invert,
+    kp_solve,
     power,
     realize_matrix,
 )
@@ -564,6 +565,30 @@ def test_wide_kernel_matches_exact_leibniz(op, deform):
     assert got.c.dtype == np.clongdouble
     err, top = _exact_error(got, ref)
     assert top > 0 and err <= 4 * np.finfo(np.longdouble).eps * top
+
+
+def test_wide_desk_solve_weights_are_exact(monkeypatch):
+    # every Leibniz weight eps^k/k! n(n-1)...(n-k+1) in the plans of a wide
+    # desk-scale solve is an integer that extended precision holds exactly
+    plans = {}
+
+    def record(*key):
+        if key not in plans:
+            plans[key] = symbol._Plan(*key)
+        return plans[key]
+
+    monkeypatch.setattr(symbol, "_plan", record)
+    p = TruncParams(wide=True)
+    kp_solve(Symbol.from_terms(p, {0: LoopFn.const(1, p.M, 1.0), -1: LoopFn.cos(p.M)}), p)
+    weights = {}
+    for (d, _, _, eps, _, _, _, _, _, nB), plan in plans.items():
+        for n, rows, w, blocks in plan.steps:
+            for r0 in blocks[:, 2] * d:
+                k = int(rows[r0]) // (nB * d)
+                weights[n, k, eps] = Fraction(*w[r0].as_integer_ratio())
+    assert (-9, 5, 1.0) in weights and len(weights) > 100
+    for (n, k, eps), w in weights.items():
+        assert w == Fraction(eps) ** k / factorial(k) * prod(range(n, n - k, -1)), (n, k)
 
 
 def test_wide_scale_orders_in_extended_precision():
