@@ -2,10 +2,14 @@
 
 Subcommands: factorize, check, flow, paper-table.  Configuration is a JSON
 file; reports are canonical JSON (sorted keys, stable separators) so that
-identical config + seed produce byte-identical output.  A `RunConfig` and
-a `Report` are built once and then only read; a report holds the
-`criteria.Record`s and forms their JSON only in `to_json`.  Exit codes: 0
-all checks pass, 1 at least one failed, 2 configuration error.
+identical config + seed produce byte-identical output.  Each `cmd_*`
+returns its record groups, (declared names, run) pairs over the functions
+of `criteria`.  `main` checks the config in full, matches `--only` against
+the declared names, creates `--out`, and only then lets `select` run the
+groups asked for into one `Report`.  A `RunConfig` and a `Report` are built
+once and then only read; a report holds the `criteria.Record`s and forms
+their JSON only in `to_json`.  Exit codes: 0 all checks pass, 1 at least
+one failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import JetCriteria, flow_commute, flow_jet_ratio, product_integral_rates, select, symbol_table
+from . import criteria
 from .factorization import conj_from, kp_solve
 from .loopfn import LoopFn
 from .symbol import Symbol, TruncParams, plan_stats
@@ -206,54 +210,65 @@ def _version() -> str:
     return __version__
 
 
-def cmd_factorize(cfg: RunConfig, only=None) -> Report:
+def select(groups: list, only=None) -> list:
+    """The records of `groups`, a list of (names, run) pairs, whose names start
+    with a prefix in `only` (all when it is empty).  A group runs only when
+    one of the names it declares matches."""
+    prefixes = tuple(only or [""])
+    out = []
+    for names, run in groups:
+        if any(name.startswith(prefixes) for name in names):
+            records = run()
+            if [r.name for r in records] != names:
+                raise RuntimeError(f"group declared {names}, computed {[r.name for r in records]}")
+            out += [r for r in records if r.name.startswith(prefixes)]
+    return out
+
+
+def cmd_factorize(cfg: RunConfig) -> list:
     params = cfg.params()
-    crit = cache(lambda: JetCriteria(kp_solve(cfg.build_s0(params), params)))
+    jet = cache(lambda: kp_solve(cfg.build_s0(params), params))
     names = ["factorize/su-equals-y", "factorize/y-strictly-differential", "factorize/growth-condition"]
-    groups = [(names, lambda: crit().factorization()), (["factorize/lipschitz-ratio-stable"], lambda: crit().lipschitz())]
-    return Report("factorize", cfg, select(groups, only))
+    return [(names, lambda: criteria.factorization(jet())),
+            (["factorize/lipschitz-ratio-stable"], lambda: criteria.lipschitz(jet()))]
 
 
-def cmd_check(cfg: RunConfig, only=None) -> Report:
+def cmd_check(cfg: RunConfig) -> list:
     params = cfg.params()
     K = params.K
-    crit = cache(lambda: JetCriteria(kp_solve(cfg.build_s0(params), params)))
+    jet = cache(lambda: kp_solve(cfg.build_s0(params), params))
     rng = np.random.default_rng(cfg.seed)
     gen = TSeries.monomial(params, (1, 0, 0), Symbol(params, {-1: LoopFn.cos(params.M, d=params.d)}))
-    groups = [
+    return [
         ([f"kp/{kind}-t{n}" for n in range(1, K + 1) for kind in ("residual", "ds-gap")] + ["kp/conj-consistency"],
-         lambda: crit().lax()),
+         lambda: criteria.lax(jet())),
         ([f"zs/{f}-form-{m}{n}" for m in range(1, K + 1) for n in range(m + 1, K + 1) for f in "ds"]
          + ["zs/sign-flip-control"],
-         lambda: crit().zero_curvature()),
+         lambda: criteria.zero_curvature(jet())),
         (["ym/flat-value", "ym/flat-vs-perturbed"],
-         lambda: crit().yang_mills(rng, 3, cfg.cube_k, cfg.cube_n, cfg.Mr, cfg.Q)),
-        (["kp2/t12", "kp2/t13", "kp2/t23", "kp2/equiv-t23"], lambda: crit().kp2()),
-        (["scaling/covariance-h2"], lambda: crit().scaling()),
-        (["product-integral/rate-n64", "product-integral/rate-n128"], lambda: product_integral_rates(gen)),
+         lambda: criteria.yang_mills(jet(), rng, 3, cfg.cube_k, cfg.cube_n, cfg.Mr, cfg.Q)),
+        (["kp2/t12", "kp2/t13", "kp2/t23", "kp2/equiv-t23"], lambda: criteria.kp2(jet())),
+        (["scaling/covariance-h2"], lambda: criteria.scaling(jet())),
+        (["product-integral/rate-n64", "product-integral/rate-n128"], lambda: criteria.product_integral_rates(gen)),
     ]
-    return Report("check", cfg, select(groups, only))
 
 
-def cmd_flow(cfg: RunConfig, only=None) -> Report:
+def cmd_flow(cfg: RunConfig) -> list:
     params = cfg.params(wide=False)
     L0 = cache(lambda: conj_from(cfg.build_s0(params), params))
-    out = Path(cfg.out_dir)
 
     def jet_ratio(direction: int) -> list:
-        record, rows = flow_jet_ratio(L0(), direction, cfg.flow_t_end, params.V)
+        record, rows = criteria.flow_jet_ratio(L0(), direction, cfg.flow_t_end, params.V)
         if rows:
-            out.mkdir(parents=True, exist_ok=True)
             table = "\n".join(f"{t:.6e} {e:.17e}" for t, e in rows)
-            (out / f"flow_convergence_t{direction}.dat").write_text(table + "\n")
+            (Path(cfg.out_dir) / f"flow_convergence_t{direction}.dat").write_text(table + "\n")
         return [record]
 
     groups = [([f"flow/jet-ratio-t{n}"], partial(jet_ratio, n)) for n in (2, 3)]
-    groups.append((["flow/commute-12"], lambda: [flow_commute(L0(), cfg.flow_t_end)]))
-    return Report("flow", cfg, select(groups, only))
+    return groups + [(["flow/commute-12"], lambda: [criteria.flow_commute(L0(), cfg.flow_t_end)])]
 
 
-def cmd_paper_table(cfg: RunConfig, only=None) -> Report:
+def cmd_paper_table(cfg: RunConfig) -> list:
     params = cfg.params(wide=False)
 
     def table() -> list:
@@ -262,11 +277,10 @@ def cmd_paper_table(cfg: RunConfig, only=None) -> Report:
         else:
             rng = np.random.default_rng(cfg.seed)
             u1, u2 = (LoopFn.random_trig(rng, params.M, min(8, params.M // 4), d=params.d) for _ in range(2))
-        return symbol_table(params, u1, u2)
+        return criteria.symbol_table(params, u1, u2)
 
     names = [f"table/L{p}/sigma{s}" for p in (2, 3) for s in (3, 2, 1, 0)]
-    names += ["table/bracket-sigma1", "table/bracket-sigma0"]
-    return Report("paper-table", cfg, select([(names, table)], only))
+    return [(names + ["table/bracket-sigma1", "table/bracket-sigma0"], table)]
 
 
 def _kernel_summary(before: dict, after: dict) -> str:
@@ -307,21 +321,18 @@ def main(argv=None) -> int:
         only = None if args.only is None else [p for p in args.only.split(",") if p]
         if only == []:
             raise ConfigError(f"--only {args.only!r} names no record prefix")
-        out = Path(cfg.out_dir)
-        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+        groups = COMMANDS[args.command](cfg)
+        if only and not any(name.startswith(tuple(only)) for names, _ in groups for name in names):
+            raise ConfigError(f"--only {args.only!r} matches no record of {args.command}")
         try:
-            out.mkdir(parents=True, exist_ok=True)
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: {e}")
-        before = plan_stats()
-        report = COMMANDS[args.command](cfg, only=only)
-        if only and not report.records:
-            for d in made:
-                d.rmdir()
-            raise ConfigError(f"--only {args.only!r} matches no record of {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    before = plan_stats()
+    report = Report(args.command, cfg, select(groups, only))
     if args.verbose:
         print(_kernel_summary(before, plan_stats()), file=sys.stderr)
     path = report.write(cfg.out_dir)

@@ -1,7 +1,7 @@
-"""Reduction to the first two negative coefficients u_{-1}, u_{-2} of
-L = xi + sum_{k <= -1} u_k xi^k, the degree-1 consequences of the
-zero-curvature equations for the time pairs (1,2), (1,3), (2,3), and the
-numeric (non-series) integration of the operator flows
+"""Reduction to the pair (u_{-1}, u_{-2}) of the first two negative
+coefficients of L = xi + sum_{k <= -1} u_k xi^k, the degree-1 consequences
+of the zero-curvature equations for the time pairs (1,2), (1,3), (2,3), and
+the numeric (non-series) integration of the operator flows
 
     dL/dt_n = [L^n_D, L] = -[L^n_S, L].
 
@@ -21,7 +21,6 @@ from .symbol import Symbol, commutator, compose, power
 from .tseries import TSeries, ddt, tmul
 
 __all__ = [
-    "UPair",
     "FlowState",
     "FlowBlowup",
     "extract_u",
@@ -44,15 +43,6 @@ class FlowBlowup(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UPair:
-    """The pair (u_{-1}, u_{-2}); series-valued for jets, plain functions for
-    numeric flow states."""
-
-    u1: object
-    u2: object
-
-
-@dataclass(frozen=True)
 class FlowState:
     """The operator a flow reached and the time it reached it at."""
 
@@ -71,10 +61,10 @@ def jet_dx(X: TSeries, k: int = 1) -> TSeries:
     return X.map_coeffs(lambda s: s.map_coeffs(lambda f: f.dx(k)))
 
 
-def extract_u(L) -> UPair:
-    """u_{-1} and u_{-2} of an order-1 operator with unit leading coefficient.
-
-    Accepts a plain Symbol (numeric state) or a TSeries jet; raises
+def extract_u(L) -> tuple:
+    """The pair (u_{-1}, u_{-2}) of an order-1 operator with unit leading
+    coefficient: series for a TSeries jet, functions for a plain Symbol
+    (numeric state).  Raises
     ValueError only if the leading coefficient is not 1 (a nonzero order-0
     part of a Symbol draws a warning above norm 1e-8).
     """
@@ -83,27 +73,26 @@ def extract_u(L) -> UPair:
         lead = L.term([0] * params.K).coeff(1)
         if (lead - LoopFn.const(params.d, params.M, 1.0)).norm() > 1e-9:
             raise ValueError("jet leading coefficient is not xi")
-        return UPair(u1=_scalar_jet(L, -1), u2=_scalar_jet(L, -2))
+        return _scalar_jet(L, -1), _scalar_jet(L, -2)
     params = L.params
     if (L.coeff(1) - LoopFn.const(params.d, params.M, 1.0)).norm() > 1e-9:
         raise ValueError("leading coefficient is not 1")
     s0 = L.coeff(0).norm()
     if s0 > 1e-8:
         warnings.warn(f"order-0 part has norm {s0:.3e}; extraction assumes it vanishes")
-    return UPair(u1=L.coeff(-1), u2=L.coeff(-2))
+    return L.coeff(-1), L.coeff(-2)
 
 
 def check_t12(jet) -> float:
     """Residual of  d u_{-1} / d t_1 = d/dx u_{-1}  over valuations <= V - 1."""
-    u = extract_u(jet.L)
-    return (ddt(u.u1, 1) - jet_dx(u.u1)).capped(jet.params.V - 1).norm()
+    u1, _ = extract_u(jet.L)
+    return (ddt(u1, 1) - jet_dx(u1)).capped(jet.params.V - 1).norm()
 
 
 def check_t13(jet) -> float:
     """Residuals of the pair  d u_{-1}/d t_1 = d/dx u_{-1}  and
     d u_{-2}/d t_1 = d/dx u_{-2}; returns the larger one."""
-    u = extract_u(jet.L)
-    return max((ddt(w, 1) - jet_dx(w)).capped(jet.params.V - 1).norm() for w in (u.u1, u.u2))
+    return max((ddt(w, 1) - jet_dx(w)).capped(jet.params.V - 1).norm() for w in extract_u(jet.L))
 
 
 def check_t23(jet) -> float:
@@ -113,10 +102,10 @@ def check_t23(jet) -> float:
         3 d u_{-2}/d t_2 - 2 d u_{-1}/d t_3
             = -6 (d/dx u_{-1}) u_{-1} - 2 d^3/dx^3 u_{-1} - 3 d^2/dx^2 u_{-2}
     """
-    u = extract_u(jet.L)
+    u1, u2 = extract_u(jet.L)
     cap = jet.params.V - 3
-    r1 = (ddt(u.u1, 2) - jet_dx(u.u1, 2) - jet_dx(u.u2).scale(2.0)).capped(cap).norm()
-    return max(r1, _t23_eliminated(u.u1, u.u2).capped(cap).norm())
+    r1 = (ddt(u1, 2) - jet_dx(u1, 2) - jet_dx(u2).scale(2.0)).capped(cap).norm()
+    return max(r1, _t23_eliminated(u1, u2).capped(cap).norm())
 
 
 def _t23_eliminated(u1: TSeries, u2: TSeries) -> TSeries:
@@ -125,7 +114,7 @@ def _t23_eliminated(u1: TSeries, u2: TSeries) -> TSeries:
     return ddt(u2, 2).scale(3.0) - ddt(u1, 3).scale(2.0) - rhs
 
 
-def equiv_t23(u: UPair) -> float:
+def equiv_t23(u1: TSeries, u2: TSeries) -> float:
     """Discrepancy between the raw second (t_2, t_3) equation, with the mixed
     d^2 u_{-1} / (d t_2 dx) term left in place,
 
@@ -137,7 +126,6 @@ def equiv_t23(u: UPair) -> float:
     vanishes exactly when  d u_{-1}/d t_2 = d^2/dx^2 u_{-1} + 2 d/dx u_{-2}
     holds, whatever the jets are otherwise.
     """
-    u1, u2 = u.u1, u.u2
     raw = (
         ddt(u2, 2).scale(3.0)
         + jet_dx(ddt(u1, 2)).scale(3.0)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from kpsym import LoopFn, Symbol, TMono, TSeries, TruncParams, kp_solve, texp, tmul
-from kpsym.criteria import JetCriteria, flow_commute, flow_jet_ratio, product_integral_rates, symbol_table
+from kpsym import criteria
+from kpsym.criteria import flow_commute, flow_jet_ratio, product_integral_rates, symbol_table
 from kpsym.tseries import ddt
 from test_factorization import dense_oracle, dressing
 
@@ -24,11 +25,6 @@ def outcome(num: int, ok: bool, detail: str) -> None:
 
 def values(records) -> dict:
     return {r.name: r.value for r in records}
-
-
-@pytest.fixture(scope="module")
-def desk_criteria(desk_jet):
-    return JetCriteria(desk_jet)
 
 
 def test_criterion_1_symbol_table():
@@ -55,7 +51,7 @@ def _random_dressings(params, count=5, seed=202):
 @pytest.mark.slow
 def test_criterion_2_factorization(desk_params, desk_jet):
     jets = [desk_jet] + [kp_solve(S0, desk_params) for S0 in _random_dressings(desk_params)]
-    checks = [values(JetCriteria(jet).factorization()) for jet in jets]
+    checks = [values(criteria.factorization(jet)) for jet in jets]
     worst_resid = max(v["factorize/su-equals-y"] for v in checks)
     neg = max(v["factorize/y-strictly-differential"] for v in checks)
     # independent dense-solve oracle; V <= 3 at a reduced mode cutoff
@@ -72,8 +68,8 @@ def test_criterion_2_factorization(desk_params, desk_jet):
                    f"dense oracle {worst_oracle:.2e} <= 1e-10")
 
 
-def test_criterion_3_kp_residuals(desk_criteria):
-    v = values(desk_criteria.lax())
+def test_criterion_3_kp_residuals(desk_jet):
+    v = values(criteria.lax(desk_jet))
     rs = [v[f"kp/residual-t{n}"] for n in (1, 2, 3)]
     gaps = [v[f"kp/ds-gap-t{n}"] for n in (1, 2, 3)]
     cc = v["kp/conj-consistency"]
@@ -82,24 +78,24 @@ def test_criterion_3_kp_residuals(desk_criteria):
                    f"conj {cc:.1e}, all <= 1e-9")
 
 
-def test_criterion_4_zero_curvature(desk_criteria):
-    records = desk_criteria.zero_curvature()
+def test_criterion_4_zero_curvature(desk_jet):
+    records = criteria.zero_curvature(desk_jet)
     worst = max([0.0] + [r.value for r in records if "-form-" in r.name])
     flipped = values(records)["zs/sign-flip-control"]
     ok = worst <= 1e-9 and flipped >= 1e-2
     outcome(4, ok, f"zs residuals worst {worst:.2e} <= 1e-9, sign-flip control {flipped:.2e} >= 1e-2")
 
 
-def test_criterion_5_yang_mills(desk_criteria):
-    flat, ratio = desk_criteria.yang_mills(np.random.default_rng(505), 10, 0.05, 2, Mr=24, Q=8)
+def test_criterion_5_yang_mills(desk_jet):
+    flat, ratio = criteria.yang_mills(desk_jet, np.random.default_rng(505), 10, 0.05, 2, Mr=24, Q=8)
     all_nonneg = flat.passed
     worst_ratio = ratio.value
     ok = worst_ratio <= 1e-4 and all_nonneg
     outcome(5, ok, f"flat/perturbed worst ratio {worst_ratio:.2e} <= 1e-4, values nonnegative: {all_nonneg}")
 
 
-def test_criterion_6_scaling_covariance(desk_criteria):
-    diff = desk_criteria.scaling()[0].value
+def test_criterion_6_scaling_covariance(desk_jet):
+    diff = criteria.scaling(desk_jet)[0].value
     outcome(6, diff <= 1e-9, f"scaled-solve vs solve-then-scale at h=2: {diff:.2e} <= 1e-9")
 
 

@@ -18,6 +18,7 @@ from kpsym.criteria import Record
 from kpsym.symbol import plan_stats
 from kpsym.cli import (
     ANCHORS,
+    COMMANDS,
     ConfigError,
     Report,
     RunConfig,
@@ -26,6 +27,7 @@ from kpsym.cli import (
     cmd_flow,
     cmd_paper_table,
     main,
+    select,
 )
 
 TINY = {
@@ -49,6 +51,11 @@ def tiny_config(**over):
     raw = dict(TINY)
     raw.update(over)
     return RunConfig.from_dict(raw)
+
+
+def full_report(command: str, cfg: RunConfig) -> Report:
+    """The report `kpsym <command>` writes for `cfg`, all records kept."""
+    return Report(command, cfg, select(COMMANDS[command](cfg)))
 
 
 def test_config_defaults_valid():
@@ -150,12 +157,11 @@ def test_paper_table_given_inputs():
             {"2": [0.5, 0.0], "-2": [0.5, 0.0]},
         ]
     )
-    rep = cmd_paper_table(cfg)
-    assert rep.ok
-    assert all(r.value <= 1e-10 for r in rep.records)
+    records = select(cmd_paper_table(cfg))
+    assert all(r.passed and r.value <= 1e-10 for r in records)
 
 
-# The report of `cmd_paper_table(tiny_config(u_table=[{}, {}]))`, byte for byte.
+# The report of `paper-table` at `tiny_config(u_table=[{}, {}])`, byte for byte.
 ZERO_TABLE_REPORT = """{
  "command": "paper-table",
  "config": {
@@ -286,23 +292,24 @@ ZERO_TABLE_REPORT = """{
 
 def test_paper_table_zero_inputs():
     cfg = tiny_config(u_table=[{}, {}])
-    rep = cmd_paper_table(cfg)
+    rep = full_report("paper-table", cfg)
     assert rep.ok
     assert all(r.value == 0.0 for r in rep.records)
     assert rep.to_json() == ZERO_TABLE_REPORT
 
 
-def test_report_bytes_stable(tmp_path):
+@pytest.mark.parametrize("command", ["factorize", "paper-table"])
+def test_report_bytes_stable(command):
     cfg = tiny_config()
-    a = cmd_paper_table(cfg).to_json()
-    b = cmd_paper_table(cfg).to_json()
+    a = full_report(command, cfg).to_json()
+    b = full_report(command, cfg).to_json()
     assert a == b
-    other = cmd_paper_table(tiny_config(seed=4)).to_json()
+    other = full_report(command, tiny_config(seed=4)).to_json()
     assert other != a
 
 
 def test_factorize_command():
-    rep = cmd_factorize(tiny_config())
+    rep = full_report("factorize", tiny_config())
     assert rep.ok, rep.summary()
     names = {r.name for r in rep.records}
     assert "factorize/su-equals-y" in names
@@ -310,15 +317,14 @@ def test_factorize_command():
 
 
 def test_check_command():
-    rep = cmd_check(tiny_config())
+    rep = full_report("check", tiny_config())
     assert all(r.anchor in ANCHORS for r in rep.records)
     failing = [r.name for r in rep.records if not r.passed]
     assert not failing, f"failing records: {failing}\n{rep.summary()}"
 
 
 def test_only_filter():
-    rep = cmd_factorize(tiny_config(), only=["factorize/su"])
-    assert len(rep.records) == 1
+    assert len(select(cmd_factorize(tiny_config()), ["factorize/su"])) == 1
 
 
 def test_main_exit_codes(tmp_path):
@@ -358,8 +364,12 @@ def test_unusable_out_dir_exits_2_before_running(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     before = plan_stats()["compose_calls"]
-    assert main(["paper-table", "--out", str(blocker / "out")]) == 2
-    assert "config error" in capsys.readouterr().err
+    args = ["paper-table", "--out", str(blocker / "out")]
+    assert main(args) == 2
+    assert "config error: cannot create output directory" in capsys.readouterr().err
+    # --only is matched against the declared names before --out is created
+    assert main(args + ["--only", "nosuch"]) == 2
+    assert "config error: --only 'nosuch' matches no record" in capsys.readouterr().err
     assert plan_stats()["compose_calls"] == before
 
 
@@ -383,21 +393,21 @@ def test_verbose_reports_kernel_use(tmp_path, capsys):
     loud = capsys.readouterr()
     assert loud.out == quiet.out and report.read_bytes() == quiet_bytes
     assert quiet.err == ""
-    # L^2 and L^3 take 3 compose calls; the bracket runs the kernel twice more
-    m = re.fullmatch(r"compose: 3 calls, 5 kernel runs; plan cache: (\d+) hits, (\d+) misses, (\d+) plans held\n",
+    # L^2 and L^3 = L^2 L take 2 compose calls; the bracket runs the kernel twice more
+    m = re.fullmatch(r"compose: 2 calls, 4 kernel runs; plan cache: (\d+) hits, (\d+) misses, (\d+) plans held\n",
                      loud.err)
     assert m, loud.err
     hits, misses, held = map(int, m.groups())
     # the first run left every plan of the second in the cache
-    assert (hits, misses) == (5, 0) and held >= 4
+    assert (hits, misses) == (4, 0) and held >= 4
 
 
 @pytest.mark.slow
 def test_flow_command_writes_tables(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path), flow_t_end=0.005)
-    rep = cmd_flow(cfg)
+    records = select(cmd_flow(cfg))
     assert (tmp_path / "flow_convergence_t2.dat").exists()
-    names = {r.name: r for r in rep.records}
+    names = {r.name: r for r in records}
     assert names["flow/commute-12"].passed
 
 
@@ -418,7 +428,7 @@ def test_flow_blowup_reason_reported(tmp_path, capsys):
 
 def test_check_yang_mills_record_is_worst_perturbation():
     cfg = tiny_config()
-    (record,) = cmd_check(cfg, only=["ym/flat-vs-perturbed"]).records
+    (record,) = select(cmd_check(cfg), ["ym/flat-vs-perturbed"])
     params = cfg.params()
     _, Z_S = build_Z(kp_solve(cfg.build_s0(params), params))
     ym = partial(ym_value, k=cfg.cube_k, n=cfg.cube_n, i=2, j=3, Mr=cfg.Mr, Q=cfg.Q)
@@ -452,7 +462,7 @@ def test_only_runs_selected_groups(tmp_path, command, selections):
 
     def run(only):
         before = plan_stats()["compose_calls"]
-        records = command(cfg, only=only).records
+        records = select(command(cfg), only)
         return records, plan_stats()["compose_calls"] - before
 
     full, full_calls = run(None)

@@ -166,9 +166,9 @@ def dense_oracle(U, params):
     scale = np.concatenate([w for _ in monos])
     As = A * scale[None, :] / scale[:, None]
     sol = scale * np.linalg.solve(As, b / scale)
-    S = TSeries.one(params)
-    for i, alpha in enumerate(monos):
-        S.terms[TMono(alpha)] = unflatten(sol[i * block : (i + 1) * block])
+    terms = {TMono.zero(params.K): Symbol.identity(params)}
+    terms.update((alpha, unflatten(sol[i * block : (i + 1) * block])) for i, alpha in enumerate(monos))
+    S = TSeries(params, terms)
     Y = tmul(S, U).d_part()
     return S, Y
 

@@ -23,27 +23,26 @@ from kpsym import (
     kp_solve,
     taylor_jet,
 )
-from kpsym.kp2 import UPair
 from kpsym.symbol import clear_plans, plan_stats
 
 
 def test_extract_trivial(small_params):
     L = Symbol.xi(small_params)
-    u = extract_u(L)
-    assert u.u1.norm() == 0.0 and u.u2.norm() == 0.0
+    u1, u2 = extract_u(L)
+    assert u1.norm() == 0.0 and u2.norm() == 0.0
 
 
 def test_extract_derived(small_jet):
-    u = extract_u(small_jet.L0)
-    assert (u.u1 - LoopFn.sin(16)).norm() < 1e-12
+    u1, _ = extract_u(small_jet.L0)
+    assert (u1 - LoopFn.sin(16)).norm() < 1e-12
 
 
 def test_extract_round_trip(small_params):
     u1 = LoopFn.sin(16, 2)
     u2 = LoopFn.cos(16, 3)
     L = Symbol.from_terms(small_params, {1: LoopFn.const(1, 16, 1.0), -1: u1, -2: u2})
-    u = extract_u(L)
-    assert (u.u1 - u1).norm() == 0.0 and (u.u2 - u2).norm() == 0.0
+    got1, got2 = extract_u(L)
+    assert (got1 - u1).norm() == 0.0 and (got2 - u2).norm() == 0.0
 
 
 def test_extract_rejects_bad_leading(small_params):
@@ -97,7 +96,7 @@ def synthetic_jets(params, rng, satisfy_eq1=True):
                 u1[nxt] = rhs.scale(1.0 / (mono[1] + 1))
     else:
         u1[TMono((0, 1, 0))] = draw()
-    return UPair(u1=TSeries(params, u1), u2=u2)
+    return TSeries(params, u1), u2
 
 
 def test_equiv_t23_on_eq1_jets(small_params):
@@ -106,18 +105,17 @@ def test_equiv_t23_on_eq1_jets(small_params):
     # independent derivation: the eliminated second equation has right side
     # -6 u' u - 2 u''' - 3 v''; the raw-minus-eliminated gap is 3 dx of the
     # first-equation defect, hence zero here
-    assert equiv_t23(u) < 1e-10
+    assert equiv_t23(*u) < 1e-10
 
 
 def test_equiv_t23_zero_jets(small_params):
-    zero = UPair(u1=TSeries.zero(small_params), u2=TSeries.zero(small_params))
-    assert equiv_t23(zero) == 0.0
+    assert equiv_t23(TSeries.zero(small_params), TSeries.zero(small_params)) == 0.0
 
 
 def test_equiv_t23_flags_violations(small_params):
     rng = np.random.default_rng(33)
     u = synthetic_jets(small_params, rng, satisfy_eq1=False)
-    assert equiv_t23(u) > 1e-3
+    assert equiv_t23(*u) > 1e-3
 
 
 def test_flow_trivial(small_params):
@@ -158,14 +156,14 @@ def test_jet_symbol_table_end_to_end(small_jet, small_params):
     from kpsym.symbol import commutator, power
 
     L0 = small_jet.L.term((0, 0, 0))
-    u = extract_u(L0)
+    u1, u2 = extract_u(L0)
     L2, L3 = power(L0, 2), power(L0, 3)
-    assert (L2.coeff(0) - 2.0 * u.u1).norm() < 1e-10
-    assert (L3.coeff(1) - 3.0 * u.u1).norm() < 1e-10
-    assert (L3.coeff(0) - (3.0 * u.u2 + 3.0 * u.u1.dx())).norm() < 1e-10
+    assert (L2.coeff(0) - 2.0 * u1).norm() < 1e-10
+    assert (L3.coeff(1) - 3.0 * u1).norm() < 1e-10
+    assert (L3.coeff(0) - (3.0 * u2 + 3.0 * u1.dx())).norm() < 1e-10
     bracket = commutator(L2.d_part(), L3.d_part())
-    want1 = 3.0 * u.u1.dx(2) + 6.0 * u.u2.dx()
-    want0 = 3.0 * u.u2.dx(2) + u.u1.dx(3) - 6.0 * (u.u1.dx() * u.u1)
+    want1 = 3.0 * u1.dx(2) + 6.0 * u2.dx()
+    want0 = 3.0 * u2.dx(2) + u1.dx(3) - 6.0 * (u1.dx() * u1)
     assert (bracket.coeff(1) - want1).norm() < 1e-10
     assert (bracket.coeff(0) - want0).norm() < 1e-10
 

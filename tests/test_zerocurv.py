@@ -22,7 +22,7 @@ from kpsym import (
     ym_value,
     zs_residual,
 )
-from kpsym.criteria import JetCriteria
+from kpsym.criteria import zero_curvature
 from kpsym.symbol import plan_stats
 
 
@@ -36,7 +36,7 @@ def test_forms_reuse_the_powers_of_the_residuals(small_jet, small_params):
         kp_residual(small_jet, n)
     before = plan_stats()["compose_calls"]
     build_Z(small_jet)
-    JetCriteria(small_jet).zero_curvature()
+    zero_curvature(small_jet)
     assert plan_stats()["compose_calls"] == before
 
 
