@@ -15,7 +15,7 @@ from .factorization import KPJet, conj_consistency, kp_solve, lax_defects
 from .kp2 import FlowBlowup, check_t12, check_t13, check_t23, equiv_t23, eval_taylor, extract_u
 from .kp2 import flow_delinearized, flows_commute, taylor_jet
 from .loopfn import LoopFn
-from .symbol import Symbol, TruncParams, commutator, compose, power
+from .symbol import Symbol, TruncParams, commutator, compose, largest, power
 from .tseries import TSeries, product_integral, scale_h, texp, tmul
 from .zerocurv import build_Z, ym_value, zs_residual
 
@@ -59,7 +59,7 @@ def symbol_table(params: TruncParams, u1: LoopFn, u2: LoopFn) -> list:
 def factorization(jet: KPJet) -> list:
     """S o U - Y, the negative orders of Y, and the growth bounds of S, Y, L."""
     su_y = (tmul(jet.S, jet.U) - jet.Y).norm()
-    neg = max((v for sym in jet.Y.terms.values() for v in sym.s_part().order_norms().values()), default=0.0)
+    neg = largest(v for sym in jet.Y.terms.values() for v in sym.s_part().order_norms().values())
     try:
         jet.S.assert_growth(0)
         jet.Y.assert_growth(0)
@@ -82,8 +82,8 @@ def lipschitz(jet: KPJet) -> list:
     for eps_size in (1e-3, 1e-4):
         bump = Symbol(params, {-1: LoopFn.cos(params.M, 1, eps_size, d=params.d)})
         jet_p = kp_solve(jet.S0 + bump, params)
-        ratios.append(max((jet_p.S - jet.S).norm(), (jet_p.Y - jet.Y).norm()) / eps_size)
-    return [_at_most("factorize/lipschitz-ratio-stable", "factorization", max(ratios) / min(ratios), 2.0)]
+        ratios.append(largest(((jet_p.S - jet.S).norm(), (jet_p.Y - jet.Y).norm())) / eps_size)
+    return [_at_most("factorize/lipschitz-ratio-stable", "factorization", largest(ratios) / min(ratios), 2.0)]
 
 
 def lax(jet: KPJet) -> list:
@@ -121,8 +121,8 @@ def yang_mills(jet: KPJet, rng, count: int, k: float, n: int, Mr: int, Q: int) -
     for _ in range(count):
         bump = Symbol(params, {-1: LoopFn.random_trig(rng, params.M, 2, amp=1e-2, d=params.d)})
         values.append(ym_value(Z_S.add_term(3, TSeries.monomial(params, (0, 1, 0), bump)), k, n, 2, 3, Mr, Q))
-    worst = max(base / v if v > 0 else inf for v in values)
-    return [Record("ym/flat-value", "yang-mills", base, 1e-4, min([base] + values) >= 0),
+    worst = largest(base / v if v > 0 else inf for v in values)
+    return [Record("ym/flat-value", "yang-mills", base, 1e-4, all(v >= 0 for v in [base] + values)),
             _at_most("ym/flat-vs-perturbed", "yang-mills", worst, 1e-4)]
 
 
@@ -142,10 +142,8 @@ def scaling(jet: KPJet) -> list:
     params_h = params.with_deform(1.0 / h)
     S0h = jet.S0.scale_orders(h).recast(params_h)
     jet_h = kp_solve(S0h, params_h)
-    diff = 0.0
-    for mono in set(scaled.terms) | set(jet_h.L.terms):
-        gap = scaled.term(mono) - jet_h.L.term(mono).recast(params)
-        diff = max([diff] + list(gap.narrow().band(lo=params.F).order_norms().values()))
+    gaps = [scaled.term(m) - jet_h.L.term(m).recast(params) for m in set(scaled.terms) | set(jet_h.L.terms)]
+    diff = largest(v for gap in gaps for v in gap.narrow().band(lo=params.F).order_norms().values())
     return [_at_most("scaling/covariance-h2", "scaling", diff, 1e-9)]
 
 

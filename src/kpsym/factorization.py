@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .loopfn import LoopFn
-from .symbol import Symbol, TruncParams, compose, conj
+from .symbol import Symbol, TruncParams, compose, conj, largest
 from .tseries import TMono, TSeries, conj_t, ddt, tcommutator, texp, tpowers
 
 __all__ = [
@@ -167,7 +167,7 @@ def lax_defects(jet: KPJet, n: int) -> tuple:
     rhs_d = tcommutator(Ln.d_part(), L)
     rhs_s = tcommutator(Ln.s_part(), L)
     lhs = ddt(jet.L, n).capped(cap)
-    residual = max((lhs - rhs_d).norm(), (lhs + rhs_s).norm())
+    residual = largest(((lhs - rhs_d).norm(), (lhs + rhs_s).norm()))
     return residual, (rhs_d + rhs_s).norm()
 
 

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .loopfn import LoopFn
-from .symbol import Symbol, commutator, compose, power
+from .symbol import Symbol, commutator, compose, largest, power
 from .tseries import TSeries, ddt, tmul
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
 
 
 FILTER_FRAC = 0.75  # flow states keep the modes |m| <= FILTER_FRAC * M
+BLOWUP = 1e6  # a flow fails once a reported-band coefficient exceeds this sup-norm
 
 
 class FlowBlowup(RuntimeError):
@@ -92,7 +93,7 @@ def check_t12(jet) -> float:
 def check_t13(jet) -> float:
     """Residuals of the pair  d u_{-1}/d t_1 = d/dx u_{-1}  and
     d u_{-2}/d t_1 = d/dx u_{-2}; returns the larger one."""
-    return max((ddt(w, 1) - jet_dx(w)).capped(jet.params.V - 1).norm() for w in extract_u(jet.L))
+    return largest((ddt(w, 1) - jet_dx(w)).capped(jet.params.V - 1).norm() for w in extract_u(jet.L))
 
 
 def check_t23(jet) -> float:
@@ -105,7 +106,7 @@ def check_t23(jet) -> float:
     u1, u2 = extract_u(jet.L)
     cap = jet.params.V - 3
     r1 = (ddt(u1, 2) - jet_dx(u1, 2) - jet_dx(u2).scale(2.0)).capped(cap).norm()
-    return max(r1, _t23_eliminated(u1, u2).capped(cap).norm())
+    return largest((r1, _t23_eliminated(u1, u2).capped(cap).norm()))
 
 
 def _t23_eliminated(u1: TSeries, u2: TSeries) -> TSeries:
@@ -139,7 +140,7 @@ def _flow_rhs(L: Symbol, n: int) -> Symbol:
     return -commutator(power(L, n).s_part(), L)
 
 
-def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float = 1e6) -> FlowState:
+def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float) -> FlowState:
     """Classical 4th-order explicit stepping of dL/dt_n = -[(L^n)_S, L].
 
     The stepping runs in double precision: a wide-mode operator raises
@@ -148,8 +149,8 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float
     FILTER_FRAC * M: near-cutoff rounding junk would otherwise be amplified
     explosively by the high-derivative couplings that feed the guard band
     (the true content there is exponentially small for smooth data).
-    Rejects the run if a reported-band coefficient sup-norm exceeds
-    `blowup` or is not finite; guard-band orders legitimately carry large
+    Raises FlowBlowup if a reported-band coefficient sup-norm exceeds
+    BLOWUP or is not finite; guard-band orders legitimately carry large
     values.
     """
     if dt <= 0:
@@ -171,8 +172,8 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float, blowup: float
         k4 = _flow_rhs(L + k3.scale(dt), n)
         L = (L + (k1 + k2.scale(2.0) + k3.scale(2.0) + k4).scale(dt / 6)).mode_filter(mf)
         t += dt
-        if not L.sup_norm(floor=L.params.F) <= blowup:  # a NaN fails this test too
-            raise FlowBlowup(f"coefficient sup-norm exceeded {blowup:.1e} at t={t:.4g}")
+        if not L.sup_norm(floor=L.params.F) <= BLOWUP:  # a NaN fails this test too
+            raise FlowBlowup(f"coefficient sup-norm exceeded {BLOWUP:.1e} at t={t:.4g}")
     return FlowState(L=L, t=t)
 
 

@@ -14,7 +14,8 @@ sigma_n(x, -xi) = (-1)^n sigma_n(x, xi) automatic.
 
 Orders below the working floor F - g are dropped everywhere; algebraic
 identities are only claimed on orders >= F.  The guard band g keeps the
-reported band exact through the compositions used by the solvers.
+reported band exact through the compositions used by the solvers.  The
+floor also ends the Neumann sum with which `invert` inverts a dressing.
 
 Storage
 -------
@@ -552,8 +553,9 @@ def invert(A: Symbol) -> Symbol:
     invertible constant (the dressings S = 1 + orders <= -1 have a_0 = 1);
     a non-constant a_0 raises ValueError.
 
-    Writes A = a_0 (1 + a_0^{-1} A_-) and sums the Neumann series of the
-    strictly-negative-order part, which is nilpotent below the floor.
+    Writes A = a_0 (1 + R), R = a_0^{-1} A_- of orders <= -1, and sums the
+    Neumann series of (-R)^k, each term -R times the one before, up to the
+    first term that falls wholly below the floor (at most -floor terms).
     """
     params = A.params
     pos = A.band(lo=1).orders()
@@ -567,20 +569,13 @@ def invert(A: Symbol) -> Symbol:
     if A_neg.is_zero():
         return B0
     minus_R = -compose(B0, A_neg)
-    inv = neumann(Symbol.identity(params), lambda term: compose(minus_R, term), -params.floor)
-    return compose(inv, B0)
-
-
-def neumann(one, step, count: int):
-    """Finite Neumann sum one + step(one) + step(step(one)) + ... of `invert`
-    and `tseries.tinvert`: at most `count` terms after `one`, up to the first zero one."""
-    total = term = one
-    for _ in range(count):
-        term = step(term)
+    inv = term = Symbol.identity(params)
+    for _ in range(-params.floor):
+        term = compose(minus_R, term)
         if term.is_zero():
             break
-        total = total + term
-    return total
+        inv = inv + term
+    return compose(inv, B0)
 
 
 def conj(S: Symbol, A: Symbol) -> Symbol:
@@ -591,6 +586,12 @@ def conj(S: Symbol, A: Symbol) -> Symbol:
     dressing leaves the orders >= 0 untouched exactly, because the bracket
     has order <= -1)."""
     return A + compose(commutator(S, A), invert(S))
+
+
+def largest(values) -> float:
+    """The largest of nonnegative `values` (0.0 for none), NaN if any is NaN:
+    Python's max drops a NaN that does not come first."""
+    return float(np.max(list(values), initial=0.0))
 
 
 def realize_matrix(A: Symbol, Mr: int) -> np.ndarray:

@@ -4,7 +4,8 @@ valuation val(t_n) = n and truncated at the cap V.
 Monomials are exponent tuples; everything below iterates in graded
 lexicographic order so results are reproducible.  Because every retained
 monomial has valuation <= V, exponentials and inverses of 1 + (val >= 1)
-series are finite sums, exact in the truncated algebra.
+series are finite sums of the powers `tpowers` yields, exact in the
+truncated algebra.
 
 A `TSeries` holds only its nonzero coefficients, so, as for `Symbol`, the
 values are the only record of which monomials are present.  Its
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from math import factorial
 
-from .symbol import Symbol, TruncParams, commutator, compose, neumann
+from .symbol import Symbol, TruncParams, commutator, compose, largest
 
 __all__ = [
     "TMono",
@@ -128,11 +129,8 @@ class TSeries:
         return all(s.is_zero(tol) for s in self.terms.values())
 
     def norm(self, floor: int | None = None) -> float:
-        """Max over monomials of coefficient norms on orders >= floor."""
-        best = 0.0
-        for mono in self.monomials():
-            best = max(best, self.terms[mono].norm(floor))
-        return best
+        """Max over monomials of coefficient norms on orders >= floor; NaN if any is."""
+        return largest(s.norm(floor) for s in self.terms.values())
 
     def __add__(self, other: "TSeries") -> "TSeries":
         terms = dict(self.terms)
@@ -203,17 +201,14 @@ def tmul(X: TSeries, Y: TSeries) -> TSeries:
 
 
 def texp(X: TSeries) -> TSeries:
-    """exp(X) = sum_{k <= V} X^k / k!; requires every term of X to have val >= 1."""
+    """exp(X) = 1 + sum_{k <= V} X^k / k! over `tpowers`; requires every term
+    of X to have val >= 1."""
     params = X.params
     if TMono.zero(params.K) in X.terms:
         raise ValueError("texp requires valuation >= 1 (nonzero constant term found)")
-    one = params.dtype(1).real  # 1/k! in the series' precision
-    out = pw = TSeries.one(params)
-    for k in range(1, params.V + 1):
-        pw = tmul(pw, X)
-        if not pw.terms:
-            break
-        out = out + pw.scale(one / factorial(k))
+    out = TSeries.one(params)
+    for k, pw in enumerate(tpowers(X, params.V), 1):
+        out = out + pw.scale(params.real(1) / factorial(k))
     return out
 
 
@@ -254,24 +249,26 @@ def scale_h(X: TSeries, h: float) -> TSeries:
 
 
 def tpowers(X: TSeries, n: int):
-    """Yield X, X^2, ..., X^n, each the product of the one before with X."""
-    if n <= 0:
-        raise ValueError(f"tpowers expects a positive exponent, got {n}")
-    out = X
-    yield out
-    for _ in range(n - 1):
-        out = tmul(out, X)
+    """Yield X, X^2, ..., X^n (nothing for n = 0), each the product of the
+    one before with X: the one loop that forms powers of a series."""
+    if n < 0:
+        raise ValueError(f"tpowers expects a nonnegative exponent, got {n}")
+    for k in range(n):
+        out = X if k == 0 else tmul(out, X)
         yield out
 
 
 def tinvert(X: TSeries) -> TSeries:
-    """Inverse of 1 + N with val(N) >= 1, via the finite Neumann sum."""
+    """Inverse of 1 + N with val(N) >= 1: the finite Neumann sum
+    1 + sum_{k <= V} (-N)^k over `tpowers`."""
     params = X.params
     N = X - TSeries.one(params)
     if TMono.zero(params.K) in N.terms:
         raise ValueError("tinvert expects a unit with constant term 1")
-    minus_N = -N
-    return neumann(TSeries.one(params), lambda pw: tmul(pw, minus_N), params.V)
+    out = TSeries.one(params)
+    for pw in tpowers(-N, params.V):
+        out = out + pw
+    return out
 
 
 def tcommutator(X: TSeries, Y: TSeries) -> TSeries:
@@ -284,12 +281,12 @@ def tcommutator(X: TSeries, Y: TSeries) -> TSeries:
 def conj_t(S: TSeries, A: Symbol) -> TSeries:
     """S o A o S^{-1} for a constant coefficient operator A.
 
-    Evaluated as A + [S, A] o S^{-1}, which is the same element of the
-    truncated algebra but never forms the large S.A products whose exact
-    cancellation against A.S would otherwise dominate the rounding error.
+    Evaluated as A + [S, A] o S^{-1}, as `symbol.conj` does: never forming
+    the large S.A products, whose exact cancellation against A.S would
+    otherwise dominate the rounding error.
     """
-    lie = S.map_coeffs(lambda s: commutator(s, A))
-    return TSeries.constant(S.params, A) + tmul(lie, tinvert(S))
+    A_t = TSeries.constant(S.params, A)
+    return A_t + tmul(tcommutator(S, A_t), tinvert(S))
 
 
 def product_integral(v, n: int) -> TSeries:

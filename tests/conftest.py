@@ -1,6 +1,14 @@
-import pytest
+import os
 
-from kpsym import LoopFn, Symbol, TruncParams, kp_solve
+# Pin BLAS and OpenMP to one thread before numpy is imported, as
+# perfbench/run.py does: np.linalg.solve (criterion 2's dense oracle) gives
+# other last bits on more threads, so printed values would depend on the host.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+from kpsym import LoopFn, Symbol, TruncParams, kp_solve  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,7 @@ from kpsym import (
     tinvert,
     tmul,
 )
+from kpsym import criteria
 from kpsym.symbol import plan_stats
 from kpsym.tseries import tpowers
 
@@ -262,6 +263,14 @@ def test_conj_consistency_and_sensitivity(small_jet, small_params):
     Y_bad = jet.Y + TSeries.monomial(small_params, (1, 0, 0), bump)
     corrupted = KPJet(S0=jet.S0, L0=jet.L0, U=jet.U, S=jet.S, Y=Y_bad, L=jet.L)
     assert conj_consistency(corrupted) > 1e-4
+
+
+def test_nan_in_L_fails_the_lax_records(small_jet, small_params):
+    # a NaN coefficient must reach the records, not be dropped by a max
+    nan = Symbol.from_terms(small_params, {-1: LoopFn.from_modes(1, 16, {1: np.nan})})
+    jet = replace(small_jet, L=small_jet.L + TSeries.monomial(small_params, (1, 0, 0), nan))
+    records = criteria.lax(jet)
+    assert all(np.isnan(r.value) and not r.passed for r in records)
 
 
 def test_lipschitz_probe(small_jet, small_params):

@@ -250,7 +250,7 @@ def test_flow_blowup_detected(small_params):
         {1: LoopFn.const(1, 16, 1.0), -1: LoopFn.random_trig(np.random.default_rng(1), 16, 14, amp=40.0)},
     )
     with pytest.raises(FlowBlowup):
-        flow_delinearized(big, 3, 0.5, 0.5 / 64, blowup=1e3)
+        flow_delinearized(big, 3, 0.5, 0.5 / 64)
 
 
 def test_flow_non_finite_state_detected(small_params):

@@ -3,6 +3,7 @@ evaluation, and the ordered-product path exponential."""
 
 from dataclasses import replace
 from itertools import product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from kpsym import (
     TMono,
     TSeries,
     TruncParams,
+    commutator,
     compose,
+    conj_t,
     ddt,
     eval_t,
     power,
@@ -23,6 +26,7 @@ from kpsym import (
     texp,
     tinvert,
     tmul,
+    tpowers,
 )
 
 P = TruncParams(M=16, F=-6, g=6, V=4, K=3)
@@ -188,6 +192,71 @@ def test_texp_inverse_pair():
 def test_tinvert():
     X = TSeries.one(P) + TSeries.monomial(P, (1, 0, 0), Symbol.from_terms(P, {-1: LoopFn.cos(M)}))
     assert (tmul(X, tinvert(X)) - TSeries.one(P)).norm() < 1e-12
+
+
+def test_tpowers_of_exponent_zero_is_empty():
+    X = TSeries.monomial(P, (1, 0, 0), Symbol.xi(P))
+    assert list(tpowers(X, 0)) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(tpowers(X, -1))
+
+
+def test_texp_and_tinvert_at_cap_zero_are_one():
+    p0 = replace(P, V=0)
+    X = TSeries.monomial(p0, (1, 0, 0), Symbol.xi(p0))  # val 1 > V: empty
+    for got in (texp(X), tinvert(TSeries.one(p0) + X)):
+        assert got.monomials() == [TMono.zero(P.K)]
+        assert same_bits(got.term(TMono.zero(P.K)), Symbol.identity(p0))
+
+
+def _texp_loop(X):
+    """texp as one loop of its own: X^k = X^(k-1) X, starting from 1 X."""
+    params = X.params
+    out = pw = TSeries.one(params)
+    for k in range(1, params.V + 1):
+        pw = tmul(pw, X)
+        if not pw.terms:
+            break
+        out = out + pw.scale(params.dtype(1).real / factorial(k))
+    return out
+
+
+def _tinvert_loop(X):
+    """tinvert as one loop of its own: (-N)^k = (-N)^(k-1) (-N), starting from 1 (-N)."""
+    minus_N = -(X - TSeries.one(X.params))
+    total = term = TSeries.one(X.params)
+    for _ in range(X.params.V):
+        term = tmul(term, minus_N)
+        if term.is_zero():
+            break
+        total = total + term
+    return total
+
+
+def _conj_t_coefficientwise(S, A):
+    """conj_t with the bracket [S, A] formed coefficient by coefficient."""
+    lie = S.map_coeffs(lambda s: commutator(s, A))
+    return TSeries.constant(S.params, A) + tmul(lie, _tinvert_loop(S))
+
+
+def test_series_polynomials_match_their_loops_bit_for_bit(small_jet):
+    """texp, tinvert and conj_t, built on tpowers, give the values of the
+    loops written out, at every monomial and sign bit."""
+    params, L0 = small_jet.params, small_jet.L0
+    gen = TSeries(params, {TMono.unit(params.K, n): power(L0, n) for n in range(1, params.K + 1)})
+    for got, want in ((texp(gen), _texp_loop(gen)), (tinvert(small_jet.S), _tinvert_loop(small_jet.S)),
+                      (conj_t(small_jet.S, L0), _conj_t_coefficientwise(small_jet.S, L0))):
+        assert got.monomials() == want.monomials()
+        assert all(same_bits(got.terms[m], want.terms[m]) for m in got.terms)
+
+
+def test_norm_keeps_nan():
+    nan = Symbol.from_terms(P, {-1: LoopFn.from_modes(1, M, {1: np.nan})})
+    assert np.isnan(TSeries.monomial(P, (1, 0, 0), nan).norm())
+    # a NaN coefficient after a finite one still reads NaN
+    finite = TSeries.monomial(P, (0, 0, 0), Symbol.from_terms(P, {-1: LoopFn.cos(M)}))
+    assert np.isnan((finite + TSeries.monomial(P, (1, 0, 0), nan)).norm())
+    assert TSeries.zero(P).norm() == 0.0
 
 
 def test_ddt_basics():
