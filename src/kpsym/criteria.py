@@ -167,7 +167,7 @@ def flow_jet_ratio(L0: Symbol, direction: int, t_end: float, degree: int) -> tup
         for t in (2 * t_end, t_end):
             state = flow_delinearized(L0, direction, t, t / 256)
             rows.append((t, (state.L - eval_taylor(coeffs, t)).norm()))
-        ratio = rows[0][1] / rows[1][1] if rows[1][1] > 0 else inf
+        ratio = rows[0][1] / rows[1][1] if rows[1][1] != 0 else inf  # a NaN deviation gives a NaN ratio
     except FlowBlowup as exc:
         ratio, blowup = 0.0, str(exc)
     tol = 0.7 * 2 ** (degree + 1)

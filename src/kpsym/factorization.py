@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .loopfn import LoopFn
 from .symbol import Symbol, TruncParams, compose, conj, largest
 from .tseries import TMono, TSeries, conj_t, ddt, tcommutator, texp, tpowers
 
@@ -69,13 +68,14 @@ def build_U(L0: Symbol, params: TruncParams) -> TSeries:
     """exp(sum_n h^n t_n L0^n) for n = 1..K, with h = params.h.
 
     L0 must have order 1 with the constant leading coefficient h of the
-    calculus (1 for the plain one); the growth bound holds automatically
+    calculus (1 for the plain one): an order-1 band off h.xi by more than
+    1e-9, or NaN, raises ValueError.  The growth bound holds automatically
     because the valuation of t_n matches the order of L0^n.
     """
     if L0.order != 1:
         raise ValueError(f"base operator must have order 1, got {L0.order}")
     h = params.h
-    if (L0.coeff(1) - LoopFn.const(params.d, params.M, h)).norm() > 1e-9:
+    if not (L0.band(1, 1) - Symbol.xi(params, 1, h)).norm() <= 1e-9:  # a NaN fails this test too
         raise ValueError(f"base operator must have constant leading coefficient h = {h}")
     gen, pw = {}, None
     for n in range(1, params.K + 1):
@@ -87,13 +87,14 @@ def build_U(L0: Symbol, params: TruncParams) -> TSeries:
 def mulase_factorize(U: TSeries) -> tuple:
     """Unique pair (S, Y) with S o U = Y, S = 1 + (orders <= -1), Y differential.
 
-    Raises if U is not a unit with constant term 1, or if a level produces a
-    differential part whose order exceeds the valuation (growth violation).
+    Raises ValueError if the constant term of U is off 1 by more than 1e-9
+    or is NaN, and AssertionError if a level produces a differential part
+    whose order exceeds the valuation (growth violation).
     """
     params = U.params
     zero = TMono.zero(params.K)
     U0 = U.term(zero)
-    if (U0 - Symbol.identity(params)).norm(floor=params.floor) > 1e-9:
+    if not (U0 - Symbol.identity(params)).norm(floor=params.floor) <= 1e-9:  # a NaN fails this test too
         raise ValueError("factorization expects a unit with constant term 1")
 
     S, Y = {}, {zero: Symbol.identity(params)}  # S: the terms of val >= 1, in graded order
@@ -127,11 +128,12 @@ def kp_solve(S0: Symbol, params: TruncParams) -> KPJet:
     The base operator is L0 = S0 o (h.xi) o S0^{-1}; the evolved operator
     is L = S L0 S^{-1}.  The jet forms Y L0 Y^{-1} only when a check reads it,
     so the agreement of the two routes stays a checkable statement, not a
-    definition.
+    definition.  A dressing with positive orders, or whose order-0 band is
+    off 1 by more than 1e-12 or NaN, raises ValueError.
     """
     if (S0.order or 0) > 0:
         raise ValueError("dressing must be an order-0 symbol")
-    if (S0.coeff(0) - Symbol.identity(params).coeff(0)).norm() > 1e-12:
+    if not (S0.band(0, 0) - Symbol.identity(params)).norm() <= 1e-12:  # a NaN fails this test too
         raise ValueError("dressing must be of the form 1 + (orders <= -1)")
     L0 = conj_from(S0, params)
     U = build_U(L0, params)

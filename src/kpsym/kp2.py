@@ -16,7 +16,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .loopfn import LoopFn
 from .symbol import Symbol, commutator, compose, largest, power
 from .tseries import TSeries, ddt, tmul
 
@@ -65,21 +64,18 @@ def jet_dx(X: TSeries, k: int = 1) -> TSeries:
 def extract_u(L) -> tuple:
     """The pair (u_{-1}, u_{-2}) of an order-1 operator with unit leading
     coefficient: series for a TSeries jet, functions for a plain Symbol
-    (numeric state).  Raises
-    ValueError only if the leading coefficient is not 1 (a nonzero order-0
-    part of a Symbol draws a warning above norm 1e-8).
+    (numeric state).  Raises ValueError only if the order-1 band (of the
+    t = 0 term, for a jet) is not xi to within 1e-9 or is NaN; an order-0
+    part of a Symbol with norm above 1e-8, or NaN, draws a warning.
     """
-    if isinstance(L, TSeries):
-        params = L.params
-        lead = L.term([0] * params.K).coeff(1)
-        if (lead - LoopFn.const(params.d, params.M, 1.0)).norm() > 1e-9:
-            raise ValueError("jet leading coefficient is not xi")
+    series = isinstance(L, TSeries)
+    L_at_0 = L.term([0] * L.params.K) if series else L
+    if not (L_at_0.band(1, 1) - Symbol.xi(L.params)).norm() <= 1e-9:  # a NaN fails this test too
+        raise ValueError("jet leading coefficient is not xi" if series else "leading coefficient is not 1")
+    if series:
         return _scalar_jet(L, -1), _scalar_jet(L, -2)
-    params = L.params
-    if (L.coeff(1) - LoopFn.const(params.d, params.M, 1.0)).norm() > 1e-9:
-        raise ValueError("leading coefficient is not 1")
     s0 = L.coeff(0).norm()
-    if s0 > 1e-8:
+    if not s0 <= 1e-8:
         warnings.warn(f"order-0 part has norm {s0:.3e}; extraction assumes it vanishes")
     return L.coeff(-1), L.coeff(-2)
 
@@ -144,19 +140,20 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float) -> FlowState:
     """Classical 4th-order explicit stepping of dL/dt_n = -[(L^n)_S, L].
 
     The stepping runs in double precision: a wide-mode operator raises
-    ValueError (narrow it first with `Symbol.narrow`), as does a negative
-    t_end.  After each step the state is mode-filtered at
-    FILTER_FRAC * M: near-cutoff rounding junk would otherwise be amplified
-    explosively by the high-derivative couplings that feed the guard band
-    (the true content there is exponentially small for smooth data).
+    ValueError (narrow it first with `Symbol.narrow`), as does a step size
+    or end time that is negative, infinite or NaN.  After each step the
+    state is mode-filtered at FILTER_FRAC * M: near-cutoff rounding junk
+    would otherwise be amplified explosively by the high-derivative
+    couplings that feed the guard band (the true content there is
+    exponentially small for smooth data).
     Raises FlowBlowup if a reported-band coefficient sup-norm exceeds
     BLOWUP or is not finite; guard-band orders legitimately carry large
     values.
     """
-    if dt <= 0:
-        raise ValueError("step size must be positive")
-    if t_end < 0:
-        raise ValueError(f"end time must be >= 0, got {t_end}")
+    if not 0 < dt < float("inf"):  # a NaN fails these tests too
+        raise ValueError(f"step size must be positive and finite, got {dt}")
+    if not 0 <= t_end < float("inf"):
+        raise ValueError(f"end time must be finite and >= 0, got {t_end}")
     if L0.order != 1:
         raise ValueError("flow expects an order-1 operator")
     if L0.params.wide:

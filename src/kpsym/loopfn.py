@@ -25,13 +25,14 @@ def support(c: np.ndarray) -> np.ndarray:
 
 class LoopFn:
     """Truncated Fourier series of a d x d matrix-valued function on S^1.
-    The values are the only record of which modes are nonzero: `mmax` is
-    measured from them, and a product leaves the modes beyond the sum of its
-    operands' supports exactly zero."""
+    The values are the only record of which modes are nonzero: `mmax` and
+    `is_zero` read them exactly, and a product leaves the modes beyond the
+    sum of its operands' supports exactly zero.  A real function has
+    c_{-m} = conj(c_m); `cos`, `sin` and `random_trig` build it that way."""
 
     __slots__ = ("d", "M", "c")
 
-    def __init__(self, d: int, M: int, c: np.ndarray | None = None, real: bool = False):
+    def __init__(self, d: int, M: int, c: np.ndarray | None = None):
         if d < 1 or M < 1:
             raise ValueError(f"need d >= 1 and M >= 1, got d={d}, M={M}")
         self.d = d
@@ -45,10 +46,6 @@ class LoopFn:
             if c.shape != (2 * M + 1, d, d):
                 raise ValueError(f"coefficient array must have shape {(2*M+1, d, d)}, got {c.shape}")
         self.c = c
-        # real-valued f satisfies c_{-m} = conj(c_m)
-        err = np.max(np.abs(c - np.conj(c[::-1]))) if real else 0.0
-        if err > 1e-12:
-            raise ValueError(f"coefficients violate the real-function symmetry by {err:.3e}")
 
     @property
     def mmax(self) -> int:
@@ -67,7 +64,7 @@ class LoopFn:
         return cls.from_modes(d, M, {0: value})
 
     @classmethod
-    def from_modes(cls, d: int, M: int, table: dict, real: bool = False) -> "LoopFn":
+    def from_modes(cls, d: int, M: int, table: dict) -> "LoopFn":
         """Build from a mode -> coefficient map (scalar entries mean multiples of Id)."""
         c = np.zeros((2 * M + 1, d, d), dtype=complex)
         for m, v in table.items():
@@ -75,15 +72,15 @@ class LoopFn:
                 raise ValueError(f"mode {m} outside cutoff M={M}")
             v = np.asarray(v, dtype=complex)
             c[m + M] = v * np.eye(d) if v.ndim == 0 else v.reshape(d, d)
-        return cls(d, M, c, real=real)
+        return cls(d, M, c)
 
     @classmethod
     def cos(cls, M: int, k: int = 1, amp: float = 1.0, d: int = 1) -> "LoopFn":
-        return cls.from_modes(d, M, {k: amp / 2, -k: amp / 2}, real=True)
+        return cls.from_modes(d, M, {k: amp / 2, -k: amp / 2})
 
     @classmethod
     def sin(cls, M: int, k: int = 1, amp: float = 1.0, d: int = 1) -> "LoopFn":
-        return cls.from_modes(d, M, {k: amp / 2j, -k: -amp / 2j}, real=True)
+        return cls.from_modes(d, M, {k: amp / 2j, -k: -amp / 2j})
 
     @classmethod
     def random_trig(cls, rng, M: int, max_mode: int, amp: float = 1.0, d: int = 1) -> "LoopFn":
@@ -154,8 +151,9 @@ class LoopFn:
         """l2 norm of the coefficients (Frobenius per matrix)."""
         return float(np.linalg.norm(self.c))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
+    def is_zero(self) -> bool:
+        """Every coefficient is exactly 0 (a NaN is not)."""
+        return not self.c.any()
 
     def __repr__(self) -> str:
         nz = [int(m) for m in range(-self.M, self.M + 1) if np.any(np.abs(self.c[m + self.M]) > 1e-14)]

@@ -103,8 +103,8 @@ class TruncParams:
             raise ValueError("ceiling N must be >= 1")
         if self.V < 0 or self.K < 1 or self.g < 0:
             raise ValueError("need V >= 0, K >= 1, g >= 0")
-        if self.deform == 0.0:
-            raise ValueError("deform factor must be nonzero")
+        if not 0 < abs(self.deform) < np.inf:  # a NaN fails this test too
+            raise ValueError(f"deform factor must be finite and nonzero, got {self.deform}")
         if self.wide and self.d != 1:
             raise ValueError("extended-precision mode is implemented for d = 1 only")
         if self.wide and _LONGDOUBLE_EPS > _WIDE_EPS_MAX:
@@ -216,10 +216,9 @@ class Symbol:
         """Highest order carrying a nonzero coefficient (None for the zero symbol)."""
         return self.lo + len(self.c) - 1 if len(self.c) else None
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not len(self.c)
-        return all(v <= tol for v in self.order_norms().values())
+    def is_zero(self) -> bool:
+        """No order is stored: every coefficient is exactly 0 (a NaN is not)."""
+        return not len(self.c)
 
     def order_norms(self) -> dict:
         """l2 norm of the coefficient of every nonzero order, ascending."""
@@ -543,7 +542,7 @@ def _constant_inverse(a0: Symbol) -> Symbol:
     if c[:M].any() or c[M + 1 :].any():
         raise ValueError("invert needs a constant order-0 coefficient")
     val = c[M]
-    if abs(val[0, 0] if params.d == 1 else np.linalg.det(val)) < 1e-12:
+    if not abs(val[0, 0] if params.d == 1 else np.linalg.det(val)) >= 1e-12:  # a NaN fails this test too
         raise ValueError("order-0 coefficient is not invertible")
     return Symbol.xi(params, 0, 1.0 / val if params.d == 1 else np.linalg.inv(val))
 
@@ -551,7 +550,8 @@ def _constant_inverse(a0: Symbol) -> Symbol:
 def invert(A: Symbol) -> Symbol:
     """Inverse of an order-0 symbol whose order-0 coefficient a_0 is an
     invertible constant (the dressings S = 1 + orders <= -1 have a_0 = 1);
-    a non-constant a_0 raises ValueError.
+    a non-constant a_0, or one whose determinant is below 1e-12 in modulus
+    or NaN, raises ValueError.
 
     Writes A = a_0 (1 + R), R = a_0^{-1} A_- of orders <= -1, and sums the
     Neumann series of (-R)^k, each term -R times the one before, up to the

@@ -125,8 +125,9 @@ class TSeries:
         sym = self.terms.get(mono)
         return sym if sym is not None else Symbol.zero(self.params)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(s.is_zero(tol) for s in self.terms.values())
+    def is_zero(self) -> bool:
+        """No monomial is kept: every coefficient is exactly 0 (a NaN is not)."""
+        return not self.terms
 
     def norm(self, floor: int | None = None) -> float:
         """Max over monomials of coefficient norms on orders >= floor; NaN if any is."""
@@ -158,10 +159,11 @@ class TSeries:
         return self.map_coeffs(lambda s: s.s_part())
 
     def assert_growth(self, base_order: int = 0) -> None:
-        """Coefficient of a valuation-v monomial must have order <= max(v, base_order)."""
+        """Coefficient of a valuation-v monomial must have order <= max(v, base_order):
+        an order above the cap whose norm exceeds 1e-9, or is NaN, raises."""
         for mono, sym in self.terms.items():
             cap = max(mono.val, base_order)
-            bad = [n for n, v in sym.order_norms().items() if n > cap and v > 1e-9]
+            bad = [n for n, v in sym.order_norms().items() if n > cap and not v <= 1e-9]  # a NaN is bad too
             if bad:
                 raise AssertionError(
                     f"growth violation at monomial {tuple(mono)} (val {mono.val}): orders {sorted(bad)} exceed {cap}"
@@ -242,8 +244,8 @@ def scale_h(X: TSeries, h: float) -> TSeries:
     """t_n -> h^n t_n together with xi -> h.xi: the monomial picks up h^val and
     the order-n symbol coefficient picks up h^n, both formed in the series'
     precision."""
-    if h == 0:
-        raise ValueError("scaling factor must be nonzero")
+    if not 0 < abs(h) < float("inf"):  # a NaN fails this test too
+        raise ValueError(f"scaling factor must be finite and nonzero, got {h}")
     hr = X.params.real(h)
     return TSeries(X.params, {m: s.scale_orders(h).scale(hr**m.val) for m, s in X.terms.items()})
 

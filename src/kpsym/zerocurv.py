@@ -105,8 +105,8 @@ def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int 
         raise ValueError(f"cube dimension must lie in [1, {K}], got {n}")
     if not 1 <= Mr <= params.M:
         raise ValueError(f"realization cutoff {Mr} outside [1, M={params.M}]")
-    if k <= 0 or Q < 1:
-        raise ValueError("need cube half-width k > 0 and at least one node")
+    if not 0 < k < np.inf or Q < 1:  # a NaN fails this test too
+        raise ValueError(f"need a finite cube half-width k > 0 and at least one node, got k={k}, Q={Q}")
     F = curvature_entry(theta, i, j).map_coeffs(lambda s: s.band(lo=params.F))
     nodes, weights = np.polynomial.legendre.leggauss(Q)
     nodes = nodes * k

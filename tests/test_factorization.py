@@ -51,18 +51,18 @@ def test_trivial_dressing(small_params):
     # L(t) = xi for all t
     for mono, sym in jet.L.terms.items():
         if mono.val == 0:
-            assert (sym - Symbol.xi(small_params)).is_zero(1e-12)
+            assert (sym - Symbol.xi(small_params)).is_zero()
         else:
-            assert sym.is_zero(1e-12)
+            assert sym.is_zero()
 
 
 def test_build_U_coefficients(small_params):
     L0 = Symbol.xi(small_params)
     U = build_U(L0, small_params)
-    assert (U.term((0, 1, 0)) - Symbol.xi(small_params, 2)).is_zero(1e-13)
+    assert (U.term((0, 1, 0)) - Symbol.xi(small_params, 2)).is_zero()
     got = U.term((2, 0, 0))
-    assert (got - Symbol.xi(small_params, 2).scale(0.5)).is_zero(1e-13)
-    assert (U.term((1, 1, 0)) - Symbol.xi(small_params, 3)).is_zero(1e-13)
+    assert (got - Symbol.xi(small_params, 2).scale(0.5)).is_zero()
+    assert (U.term((1, 1, 0)) - Symbol.xi(small_params, 3)).is_zero()
 
 
 def test_build_U_rejects_bad_leading(small_params):
@@ -79,7 +79,7 @@ def test_rescaled_calculus_is_read_from_the_params(small_params):
     with pytest.raises(ValueError, match="leading coefficient"):
         build_U(Symbol.xi(params_h, 1), params_h)
     U = build_U(Symbol.xi(params_h, 1, 2.0), params_h)  # t_2 carries h^2 (2 xi)^2
-    assert (U.term((0, 1, 0)) - Symbol.xi(params_h, 2, 16.0)).is_zero(1e-13)
+    assert (U.term((0, 1, 0)) - Symbol.xi(params_h, 2, 16.0)).is_zero()
     S0 = dressing(small_params, {-1: LoopFn.cos(16)})
     L0 = conj_from(S0.recast(params_h), params_h)
     assert (L0.coeff(1) - LoopFn.const(1, 16, 2.0)).norm() == 0.0
@@ -119,6 +119,24 @@ def test_factorize_rejects_non_unit(small_params):
     bad = TSeries.monomial(small_params, (1, 0, 0), Symbol.xi(small_params))
     with pytest.raises(ValueError):
         mulase_factorize(bad)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (lambda p: kp_solve(dressing(p, {0: LoopFn.const(1, 16, NAN), -1: LoopFn.cos(16)}), p), "of the form 1 +"),
+        (lambda p: build_U(Symbol.xi(p, 1, NAN) + Symbol.xi(p, -1, 0.5), p), "leading coefficient"),
+        (lambda p: mulase_factorize(TSeries.constant(p, Symbol.xi(p, 0, NAN))), "constant term 1"),
+    ],
+    ids=["kp_solve", "build_U", "mulase_factorize"],
+)
+def test_solvers_refuse_nan_inputs(small_params, solve, message):
+    # every comparison with a NaN is False, so each guard is written to fail on one
+    with pytest.raises(ValueError, match=message):
+        solve(small_params)
 
 
 def dense_oracle(U, params):

@@ -23,7 +23,11 @@ from kpsym import (
     kp_solve,
     taylor_jet,
 )
+from kpsym import criteria
 from kpsym.symbol import clear_plans, plan_stats
+
+# a reduced scale for the NaN cases
+P8 = TruncParams(M=8, F=-4, g=4, V=3)
 
 
 def test_extract_trivial(small_params):
@@ -48,6 +52,25 @@ def test_extract_round_trip(small_params):
 def test_extract_rejects_bad_leading(small_params):
     with pytest.raises(ValueError):
         extract_u(Symbol.xi(small_params, 1, 2.0))
+
+
+def test_extract_refuses_nan_leading():
+    # xi.NaN + cos.xi^-1: NaN - 1 compares False with any tolerance
+    L = Symbol.xi(P8, 1, np.nan) + Symbol.from_terms(P8, {-1: LoopFn.cos(8)})
+    with pytest.raises(ValueError, match="leading coefficient is not 1"):
+        extract_u(L)
+
+
+def test_extract_refuses_nan_jet_leading():
+    L = Symbol.xi(P8, 1, np.nan) + Symbol.from_terms(P8, {-1: LoopFn.cos(8)})
+    with pytest.raises(ValueError, match="jet leading coefficient is not xi"):
+        extract_u(TSeries.constant(P8, L))
+
+
+def test_extract_warns_on_nan_order_zero():
+    L = Symbol.xi(P8) + Symbol.xi(P8, 0, np.nan) + Symbol.from_terms(P8, {-1: LoopFn.cos(8)})
+    with pytest.warns(UserWarning, match="order-0 part has norm nan"):
+        extract_u(L)
 
 
 def test_checks_trivial(small_params):
@@ -134,6 +157,32 @@ def test_flow_rejects_bad_input(small_params):
         flow_delinearized(Symbol.xi(small_params), 2, -0.01, 0.001)
     with pytest.raises(ValueError, match="double precision"):
         flow_delinearized(Symbol.xi(small_params.with_wide(True)), 2, 0.01, 0.001)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, message",
+    [(0.01, np.nan, "step size"), (0.01, np.inf, "step size"), (np.nan, 0.001, "end time"), (np.inf, 0.001, "end time")],
+    ids=["dt-nan", "dt-inf", "t_end-nan", "t_end-inf"],
+)
+def test_flow_refuses_non_finite_times(small_params, t_end, dt, message):
+    with pytest.raises(ValueError, match=message):
+        flow_delinearized(Symbol.xi(small_params), 2, t_end, dt)
+
+
+def test_flow_jet_ratio_fails_on_a_nan_deviation(monkeypatch):
+    # a NaN in the Taylor branch makes both deviations NaN: NaN > 0 is False,
+    # so the ratio must be tested against 0 with != to stay NaN, not read inf
+    L0 = conj_from(Symbol.from_terms(P8, {0: LoopFn.const(1, 8, 1.0), -1: LoopFn.cos(8)}), P8)
+    jet = criteria.taylor_jet
+
+    def nan_jet(L0, n, degree):
+        coeffs = jet(L0, n, degree)
+        return coeffs[:-1] + [coeffs[-1] + Symbol.xi(P8, -2, np.nan)]
+
+    monkeypatch.setattr(criteria, "taylor_jet", nan_jet)
+    record, rows = criteria.flow_jet_ratio(L0, 2, 0.01, 3)
+    assert len(rows) == 2 and all(np.isnan(err) for _, err in rows)
+    assert np.isnan(record.value) and not record.passed
 
 
 def test_flow_order_preservation(small_jet, small_params):

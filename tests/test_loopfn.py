@@ -1,10 +1,13 @@
 """Coefficient-ring arithmetic: truncated Fourier series on the circle."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kpsym
 from kpsym import LoopFn
 from kpsym.loopfn import support
 
@@ -102,9 +105,17 @@ def test_mul_associative_within_budget():
 
 
 def test_real_flag_checks_symmetry():
-    with pytest.raises(ValueError):
-        LoopFn.from_modes(1, M, {1: 1.0}, real=True)
-    LoopFn.from_modes(1, M, {1: 0.5, -1: 0.5}, real=True)
+    # the real constructors build c_{-m} = conj(c_m) exactly, so no flag has to check it
+    rng = np.random.default_rng(21)
+    for d in (1, 2):
+        for f in (LoopFn.cos(M, 2, 0.3, d=d), LoopFn.sin(M, 3, 1.7, d=d), LoopFn.random_trig(rng, M, 5, d=d)):
+            assert np.array_equal(f.c[::-1], np.conj(f.c))
+
+
+def test_is_zero_is_exact():
+    assert LoopFn.zero(1, M).is_zero()
+    assert not LoopFn.from_modes(1, M, {3: 1e-300}).is_zero()
+    assert not LoopFn.from_modes(2, M, {0: np.diag([0.0, np.nan])}).is_zero()
 
 
 def test_shift_x():
@@ -159,3 +170,17 @@ def test_mul_matches_exact_convolution(d, dtype):
                 err = max(err, abs(gr - re), abs(gi - im))
                 top = max(top, abs(re), abs(im))
     assert err <= 4 * np.finfo(dtype).eps * top
+
+
+@pytest.mark.parametrize("module", ["tseries", "factorization", "zerocurv", "kp2"])
+def test_layers_above_symbol_do_not_import_loopfn(module):
+    # a LoopFn is one coefficient of a Symbol: the series and the solvers
+    # compare Symbol bands (with Symbol.xi or Symbol.identity) instead
+    tree = ast.parse((Path(kpsym.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    assert not [n for n in names if n == "LoopFn" or "loopfn" in n.split(".")]

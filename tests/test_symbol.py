@@ -116,7 +116,7 @@ def test_bracket_sin_example():
 
 
 def test_commutator_constant_coefficients():
-    assert commutator(Symbol.xi(P, 3), Symbol.xi(P, 2)).is_zero(1e-14)
+    assert commutator(Symbol.xi(P, 3), Symbol.xi(P, 2)).is_zero()
 
 
 def test_commutator_self():
@@ -145,7 +145,7 @@ def test_split_projectors():
 def test_power_basics():
     L = make_L(LoopFn.sin(M), LoopFn.zero(1, M))
     assert (power(L, 1) - L).is_zero()
-    assert (power(Symbol.xi(P), 3) - Symbol.xi(P, 3)).is_zero(1e-14)
+    assert (power(Symbol.xi(P), 3) - Symbol.xi(P, 3)).is_zero()
     with pytest.raises(ValueError):
         power(L, 0)
 
@@ -490,6 +490,28 @@ def test_invert_refuses_non_constant_order_zero(p):
     A = Symbol.from_terms(p, {0: a0, -1: LoopFn.sin(p.M, d=p.d)})
     with pytest.raises(ValueError, match="constant order-0"):
         invert(A)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+@pytest.mark.parametrize("p", [P, P.with_wide(True), PM], ids=["narrow", "wide", "d2"])
+def test_invert_refuses_nan_order_zero(p):
+    # abs(NaN) < 1e-12 is False: a NaN a_0 must not pass as invertible
+    nan = np.diag([np.nan] + [1.0] * (p.d - 1))
+    with pytest.raises(ValueError, match="not invertible"):
+        invert(Symbol.xi(p, 0, nan) + Symbol.xi(p, -1, 0.5))
+
+
+@pytest.mark.parametrize("deform", [np.nan, np.inf, -np.inf, 0.0])
+def test_params_refuse_zero_and_non_finite_deform(deform):
+    # deform = inf would give h = 0.0, deform = nan h = nan
+    with pytest.raises(ValueError, match="deform factor"):
+        TruncParams(deform=deform)
+
+
+def test_is_zero_is_exact():
+    assert Symbol.zero(P).is_zero() and (mk({-1: LoopFn.cos(M)}) - mk({-1: LoopFn.cos(M)})).is_zero()
+    assert not Symbol.xi(P, -3, 1e-300).is_zero()
+    assert not Symbol.xi(P, 2, np.nan).is_zero()
 
 
 def _exact(z):

@@ -127,7 +127,7 @@ def test_tmul_single_monomials():
     Y = TSeries.monomial(P, (0, 1, 0), Symbol.xi(P, 2))
     Z = tmul(X, Y)
     assert Z.monomials() == [TMono((1, 1, 0))]
-    assert (Z.term((1, 1, 0)) - Symbol.xi(P, 3)).is_zero(1e-14)
+    assert (Z.term((1, 1, 0)) - Symbol.xi(P, 3)).is_zero()
 
 
 def test_tmul_valuation_cap():
@@ -337,7 +337,7 @@ def test_scale_h_bookkeeping():
     # t1 . xi -> h t1 . (h xi) = h^2 t1 xi
     X = TSeries.monomial(P, (1, 0, 0), Symbol.xi(P))
     got = scale_h(X, 3.0)
-    assert (got.term((1, 0, 0)) - Symbol.xi(P, 1, 9.0)).is_zero(1e-12)
+    assert (got.term((1, 0, 0)) - Symbol.xi(P, 1, 9.0)).is_zero()
 
 
 def test_growth_check_of_a_product():
@@ -346,6 +346,29 @@ def test_growth_check_of_a_product():
     bad = TSeries.monomial(P, (1, 0, 0), Symbol.xi(P, P.N + 2))
     with pytest.raises(AssertionError):
         tmul(bad, TSeries.one(P)).assert_growth(P.N)
+
+
+@pytest.mark.parametrize("value", [1.0, np.nan])
+def test_growth_check_refuses_nan_above_the_cap(value):
+    # NaN > 1e-9 is False: a NaN above the cap must fail like any large value
+    p = TruncParams(M=8, F=-4, g=4, V=3)
+    X = TSeries.monomial(p, (1, 0, 0), Symbol.xi(p, 3, value) + Symbol.xi(p, -1, 0.5))
+    with pytest.raises(AssertionError, match=r"orders \[3\] exceed 1"):
+        X.assert_growth(0)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_scale_h_refuses_non_finite(h):
+    X = TSeries.monomial(P, (1, 0, 0), Symbol.from_terms(P, {-1: LoopFn.cos(M)}))
+    with pytest.raises(ValueError, match="scaling factor"):
+        scale_h(X, h)
+
+
+def test_is_zero_is_exact():
+    X = TSeries.monomial(P, (0, 1, 0), Symbol.xi(P, -2, 1e-300))
+    assert TSeries.zero(P).is_zero() and (X - X).is_zero()
+    assert not X.is_zero()
+    assert not TSeries.monomial(P, (0, 1, 0), Symbol.xi(P, -2, np.nan)).is_zero()
 
 
 def test_product_integral_zero_path():

@@ -45,8 +45,8 @@ def test_build_Z_trivial(small_params):
     jet = kp_solve(S0, small_params)
     Z_D, Z_S = build_Z(jet)
     for k in range(1, 4):
-        assert (Z_D.component(k).term((0, 0, 0)) - Symbol.xi(small_params, k)).is_zero(1e-12)
-    assert all(W.is_zero(1e-12) for W in Z_S.components.values())
+        assert (Z_D.component(k).term((0, 0, 0)) - Symbol.xi(small_params, k)).is_zero()
+    assert all(W.is_zero() for W in Z_S.components.values())
 
 
 def test_build_Z_reconstruction(forms, small_jet):
@@ -197,6 +197,13 @@ def test_ym_validation(forms):
         ym_value(Z_S, 0.05, 2, 1, 2, Mr=64)
     with pytest.raises(ValueError):
         ym_value(Z_S, -0.1, 2, 1, 2, Mr=8)
+
+
+@pytest.mark.parametrize("k", [float("nan"), float("inf")])
+def test_ym_refuses_non_finite_half_width(forms, k):
+    _, Z_S = forms
+    with pytest.raises(ValueError, match="cube half-width"):
+        ym_value(Z_S, k, 2, 1, 2, Mr=8)
 
 
 def test_ym_quadrature_exactness(forms, small_params):
