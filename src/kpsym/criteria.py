@@ -57,9 +57,11 @@ def symbol_table(params: TruncParams, u1: LoopFn, u2: LoopFn) -> list:
 
 
 def factorization(jet: KPJet) -> list:
-    """S o U - Y, the negative orders of Y, and the growth bounds of S, Y, L."""
+    """S o U - Y, the largest modulus on the negative orders of Y (not an l2
+    norm, whose squares underflow to 0 below a modulus of about 1e-162), and
+    the growth bounds of S, Y, L."""
     su_y = (tmul(jet.S, jet.U) - jet.Y).norm()
-    neg = largest(v for sym in jet.Y.terms.values() for v in sym.s_part().order_norms().values())
+    neg = largest(sym.s_part().sup_norm() for sym in jet.Y.terms.values())
     try:
         jet.S.assert_growth(0)
         jet.Y.assert_growth(0)

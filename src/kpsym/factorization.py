@@ -40,7 +40,9 @@ class KPJet:
     exponential, factorization pair, and the evolved operator L = S L0 S^{-1}.
 
     What the checks derive from L0, Y and L is formed on first read and kept
-    on the frozen jet, so it can never outlive the fields it came from."""
+    on the frozen jet, so it can never outlive the fields it came from.  The
+    checks read orders >= F only, so these are formed only as low as that
+    needs: `L_via_Y` on orders >= F, and `powers` on orders >= F - K."""
 
     S0: Symbol
     L0: Symbol
@@ -55,13 +57,19 @@ class KPJet:
 
     @cached_property
     def L_via_Y(self) -> TSeries:
-        """The second conjugation route Y L0 Y^{-1}."""
-        return conj_t(self.Y, self.L0)
+        """The second conjugation route Y L0 Y^{-1} on orders >= F (below F
+        it holds L0 alone)."""
+        return conj_t(self.Y, self.L0, lo=self.params.F)
 
     @cached_property
     def powers(self) -> list:
-        """[L, L^2, ..., L^K], each the product of the one before with L."""
-        return list(tpowers(self.L, self.params.K))
+        """[L, L^2, ..., L^K], each the product of the one before with L on
+        the orders >= F - K.  L has order <= 1, so each product reads the
+        power before it one order lower: L^n keeps the full power's values
+        on the orders >= F - K + n - 2, which reach the F - 1 that a bracket
+        with L reads for its orders >= F."""
+        params = self.params
+        return list(tpowers(self.L, params.K, lo=params.F - params.K))
 
 
 def build_U(L0: Symbol, params: TruncParams) -> TSeries:
@@ -159,15 +167,15 @@ def kp_residual(jet: KPJet, n: int) -> float:
 def lax_defects(jet: KPJet, n: int) -> tuple:
     """(residual, gap) of the flow t_n, 1 <= n <= K, over valuations <= V - n:
     the larger defect of dL/dt_n = [(L^n)_D, L] and dL/dt_n = -[(L^n)_S, L],
-    and the norm of [(L^n)_D, L] + [(L^n)_S, L].  Each bracket is formed once
-    and serves both values."""
+    and the norm of [(L^n)_D, L] + [(L^n)_S, L].  Each bracket is formed once,
+    on the orders >= F that the norms read, and serves both values."""
     K = jet.params.K
     if not 1 <= n <= K:
         raise ValueError(f"flow index {n} outside [1, {K}]")
-    cap = jet.params.V - n
+    F, cap = jet.params.F, jet.params.V - n
     L, Ln = jet.L.capped(cap), jet.powers[n - 1].capped(cap)
-    rhs_d = tcommutator(Ln.d_part(), L)
-    rhs_s = tcommutator(Ln.s_part(), L)
+    rhs_d = tcommutator(Ln.d_part(), L, lo=F)
+    rhs_s = tcommutator(Ln.s_part(), L, lo=F)
     lhs = ddt(jet.L, n).capped(cap)
     residual = largest(((lhs - rhs_d).norm(), (lhs + rhs_s).norm()))
     return residual, (rhs_d + rhs_s).norm()

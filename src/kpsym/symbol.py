@@ -12,10 +12,12 @@ rescaled calculus reached by xi -> h.xi, t_n -> h^n t_n with eps = 1/h).
 One coefficient function per integer order keeps the parity relation
 sigma_n(x, -xi) = (-1)^n sigma_n(x, xi) automatic.
 
-Orders below the working floor F - g are dropped everywhere; algebraic
+A product forms the output orders >= its output floor lo only, which is
+the working floor F - g unless the caller asks for a higher one; algebraic
 identities are only claimed on orders >= F.  The guard band g keeps the
 reported band exact through the compositions used by the solvers.  The
-floor also ends the Neumann sum with which `invert` inverts a dressing.
+working floor also ends the Neumann sum with which `invert` inverts a
+dressing.
 
 Storage
 -------
@@ -34,15 +36,16 @@ through one kernel: a direct block-Toeplitz convolution of Fourier modes
 (`_compose`).
 
 The kernel's index work is cached as a plan (`_Plan`) per signature: d, M,
-floor, deform factor, precision, lowest Leibniz order, the left operand's
-lowest order and pattern of nonzero orders, and the right operand's lowest
-order and number of orders.  Narrow and wide mode build and use plans the
-same way; only the inner convolution differs: one BLAS product per left
-order in double precision, one `np.convolve` per left order over the
-measured mode supports in wide mode, where clongdouble has no BLAS.  Plans
-add their blocks of rows in the order of the Leibniz sum, which keeps every
-result bit-identical to a row-by-row scatter.  The 32 most recently used
-plans are kept; `plan_stats` reports the cache's use.
+the working floor, the output floor, deform factor, precision, lowest
+Leibniz order, the left operand's lowest order and pattern of nonzero
+orders, and the right operand's lowest order and number of orders.  Narrow
+and wide mode build and use plans the same way; only the inner convolution
+differs: one BLAS product per left order in double precision, one
+`np.convolve` per left order over the measured mode supports in wide mode,
+where clongdouble has no BLAS.  Plans add their blocks of rows in the order
+of the Leibniz sum, which keeps every result bit-identical to a row-by-row
+scatter.  The 32 most recently used plans are kept; `plan_stats` reports
+the cache's use.
 """
 
 from __future__ import annotations
@@ -325,29 +328,31 @@ def _is_plain_identity(A: Symbol) -> bool:
     return A.lo == 0 and len(A.c) == 1 and bool(np.array_equal(A.c, Symbol.identity(A.params).c))
 
 
-def compose(A: Symbol, B: Symbol) -> Symbol:
-    """Leibniz composition, truncated below the working floor.
+def compose(A: Symbol, B: Symbol, lo: int | None = None) -> Symbol:
+    """Leibniz composition on the output orders >= lo (None, or any order
+    below the working floor, means the working floor).
 
     The k-th term scales coefficients by eps^k/k! times the falling factorial
     n(n-1)...(n-k+1) of the left order, and differentiates the right
     coefficient k times.  The k sum stops once the output order n + m - k
-    falls below the floor, so it is finite even for negative left orders.
-    Every matrix size d runs through the same direct block-Toeplitz mode
-    convolution (see `_compose`).
+    falls below lo, so it is finite even for negative left orders.
+    `compose(A, B, lo=lo)` equals `compose(A, B).band(lo=lo)` bit for bit,
+    without forming the lower orders.  Every matrix size d runs through the
+    same direct block-Toeplitz mode convolution (see `_compose`).
     """
     global _compose_calls
     A._compatible(B)
     _compose_calls += 1
     if _is_plain_identity(A):
-        return B
+        return B.band(lo=lo)
     if _is_plain_identity(B):
-        return A
-    return _compose(A, B)
+        return A.band(lo=lo)
+    return _compose(A, B, lo=lo)
 
 
-def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
-    """Leibniz terms k >= kmin of A o B by direct (block-Toeplitz) mode
-    convolution.
+def _compose(A: Symbol, B: Symbol, kmin: int = 0, lo: int | None = None) -> Symbol:
+    """Leibniz terms k >= kmin of A o B on the output orders >= lo (at least
+    the working floor) by direct (block-Toeplitz) mode convolution.
 
     Each right coefficient b_m is stored as d rows, one per column j, of
     length (2M+1)d laid out as (mode p, row k).  Right-multiplying that stack
@@ -371,8 +376,9 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
     d, M, wide = params.d, params.M, params.wide
     if A.is_zero() or B.is_zero():
         return Symbol.zero(params)
+    lo = params.floor if lo is None else max(lo, params.floor)
     a_live = tuple(A._live().tolist())
-    plan = _plan(d, M, params.floor, params.deform, wide, kmin, A.lo, a_live, B.lo, len(B.c))
+    plan = _plan(d, M, params.floor, lo, params.deform, wide, kmin, A.lo, a_live, B.lo, len(B.c))
 
     L = 2 * M + 1
     dt = params.dtype
@@ -417,44 +423,47 @@ def _compose(A: Symbol, B: Symbol, kmin: int = 0) -> Symbol:
             dst[t0:t1] += conv[r0:r1]
 
     c = np.ascontiguousarray(out.reshape(plan.nq, d, L, d).transpose(0, 2, 3, 1))
-    return _packed(params, params.floor, c)
+    return _packed(params, lo, c)
 
 
 class _Plan:
     """What `_compose` needs beyond the coefficient values, for one signature:
-    d, M, floor, deform, wide, kmin, the left operand's lowest order and
-    which of its orders are nonzero, and the right operand's lowest order
-    and number of orders.  Mode supports are not part of it: they are
-    measured from the values on every call.
+    d, M, the working floor, the output floor lo, deform, wide, kmin, the left
+    operand's lowest order and which of its orders are nonzero, and the right
+    operand's lowest order and number of orders.  Mode supports are not part
+    of it: they are measured from the values on every call.
 
     - kmax: the highest Leibniz order k of any left order (-1 when none);
-      nq: the number of output orders floor .. floor + nq - 1.
+      nq: the number of output orders lo .. lo + nq - 1.
     - steps: one (n, rows, weights, blocks) per nonzero left order n with a
-      term in range: k <= n + nb - floor, and k <= n for n >= 0, where the
+      term in range: k <= n + nb - lo, and k <= n for n >= 0, where the
       falling factorial vanishes beyond.  `rows` indexes the flattened
       derivative stack (k, right order m, column j) in (k, m) order;
       `weights` holds the factor eps^k/k! n(n-1)...(n-k+1) of each row, in
       real arithmetic of the coefficients' precision; `blocks` holds one
       row (t0, t1, r0, r1) per k: row groups r0:r1 add into output orders
-      floor + t0 .. floor + t1 - 1, a row group being the d rows of one m.
+      lo + t0 .. lo + t1 - 1, a row group being the d rows of one m.
 
     Blocks are added in the (n, k) order of the Leibniz sum.  Within a block
     the output orders are distinct, so each output coefficient receives its
-    terms in the same order as a one-row-at-a-time scatter would give it.
-    Index arrays are int32 and weights real: the 32 cached plans of a
-    desk-scale flow take about 0.8 MB.
+    terms in the same order as a one-row-at-a-time scatter would give it,
+    whatever lo drops below it.  numpy runs a product of one row as GEMV,
+    whose last bits differ from GEMM's, and GEMM's rows do not depend on
+    their number; so a narrow step that lo cuts to one row repeats it, to
+    run as the GEMM of the working floor's step.  Index arrays are int32 and
+    weights real: the 32 cached plans of a desk-scale flow take about 0.8 MB.
     """
 
     __slots__ = ("kmax", "nq", "steps")
 
-    def __init__(self, d, M, floor, eps, wide, kmin, a_lo, a_live, fb, nB):
+    def __init__(self, d, M, floor, lo, eps, wide, kmin, a_lo, a_live, fb, nB):
         a_orders = [a_lo + i for i, live in enumerate(a_live) if live]
         nb = fb + nB - 1
         real = np.longdouble if wide else float
-        self.nq = max(a_orders[-1] + nb - floor + 1, 0)
+        self.nq = max(a_orders[-1] + nb - lo + 1, 0)
         self.kmax, self.steps = -1, []
         for n in a_orders:
-            kcap = n + nb - floor if n < 0 else min(n, n + nb - floor)
+            kcap = _kcap(n, nb, lo)
             self.kmax = max(self.kmax, kcap)
             rows, weights, blocks = [], [], []
             r0, fall = 0, 1
@@ -463,16 +472,28 @@ class _Plan:
                     fall *= n - (k - 1)
                 if k < kmin:
                     continue
-                m_lo = max(fb, floor - n + k)
+                m_lo = max(fb, lo - n + k)
                 w = real(fall) * real(eps) ** k / real(factorial(k))
                 count = nb - m_lo + 1
                 rows.append(np.arange((k * nB + m_lo - fb) * d, (k + 1) * nB * d, dtype=np.int32))
                 weights.append(np.full(count * d, w, dtype=real))
-                t0 = n - k + m_lo - floor
+                t0 = n - k + m_lo - lo
                 blocks.append((t0, t0 + count, r0, r0 + count))
                 r0 += count
-            if blocks:
-                self.steps.append((n, np.concatenate(rows), np.concatenate(weights), np.array(blocks, dtype=np.int32)))
+            if not blocks:
+                continue
+            rows, weights = np.concatenate(rows), np.concatenate(weights)
+            # one row at lo, where the working floor's step is more than the
+            # one row (k, m) = (kmin, nb)
+            if not wide and len(rows) == 1 and (_kcap(n, nb, floor), max(fb, floor - n + kmin)) != (kmin, nb):
+                rows, weights = np.repeat(rows, 2), np.repeat(weights, 2)
+            self.steps.append((n, rows, weights, np.array(blocks, dtype=np.int32)))
+
+
+def _kcap(n: int, nb: int, lo: int) -> int:
+    """The highest Leibniz order k of left order n with a term on the output
+    orders >= lo, the right operand's highest order being nb."""
+    return n + nb - lo if n < 0 else min(n, n + nb - lo)
 
 
 # Plans kept at once, the least recently used going first.  A flow
@@ -514,15 +535,16 @@ def _toeplitz_index(d: int, M: int) -> np.ndarray:
     return t_idx
 
 
-def commutator(A: Symbol, B: Symbol) -> Symbol:
-    """A o B - B o A.  For scalar coefficients the k = 0 terms of the two
-    products are identical pointwise products, so they are skipped rather
-    than computed and cancelled; this keeps the commutator's rounding noise
-    at the scale of the k >= 1 terms.  Matrix coefficients do not commute,
-    so for d > 1 every term is kept."""
+def commutator(A: Symbol, B: Symbol, lo: int | None = None) -> Symbol:
+    """A o B - B o A on the output orders >= lo, as for `compose`.  For
+    scalar coefficients the k = 0 terms of the two products are identical
+    pointwise products, so they are skipped rather than computed and
+    cancelled; this keeps the commutator's rounding noise at the scale of
+    the k >= 1 terms.  Matrix coefficients do not commute, so for d > 1
+    every term is kept."""
     A._compatible(B)
     kmin = 1 if A.params.d == 1 else 0
-    return _compose(A, B, kmin) - _compose(B, A, kmin)
+    return _compose(A, B, kmin, lo) - _compose(B, A, kmin, lo)
 
 
 def power(A: Symbol, n: int) -> Symbol:

@@ -12,15 +12,19 @@ values are the only record of which monomials are present.  Its
 constructor is the one place that writes them and no method edits a built
 series: every operation fills a plain dict and builds its result once, so
 series (and what a `KPJet` caches from them) are shared, not copied.
-The cap `params.V` is the only truncation (the constructor drops, and a
-product skips, whatever lands above it); `capped(v)` re-truncates at v.
-Products are spelled out: `tmul` composes coefficients, `tcommutator`
-brackets them and `scale` multiplies by a number.
+The cap `params.V` is the only truncation in the valuation (the
+constructor drops, and a product skips, whatever lands above it);
+`capped(v)` re-truncates at v.  Products are spelled out: `tmul` composes
+coefficients, `tcommutator` brackets them and `scale` multiplies by a
+number.  Products take an output floor `lo`, as `compose` does: `tmul`,
+`tcommutator`, `tpowers` and the last product of `conj_t` form only the
+coefficient orders >= lo, with the full product's values there.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from math import factorial
 
 from .symbol import Symbol, TruncParams, commutator, compose, largest
@@ -197,9 +201,10 @@ def _cauchy(X: TSeries, Y: TSeries, product) -> TSeries:
     return TSeries(params, out)
 
 
-def tmul(X: TSeries, Y: TSeries) -> TSeries:
-    """Cauchy product over monomials; coefficients compose; val > V is dropped."""
-    return _cauchy(X, Y, compose)
+def tmul(X: TSeries, Y: TSeries, lo: int | None = None) -> TSeries:
+    """Cauchy product over monomials; coefficients compose on the output
+    orders >= lo (see `compose`); val > V is dropped."""
+    return _cauchy(X, Y, partial(compose, lo=lo))
 
 
 def texp(X: TSeries) -> TSeries:
@@ -250,13 +255,16 @@ def scale_h(X: TSeries, h: float) -> TSeries:
     return TSeries(X.params, {m: s.scale_orders(h).scale(hr**m.val) for m, s in X.terms.items()})
 
 
-def tpowers(X: TSeries, n: int):
+def tpowers(X: TSeries, n: int, lo: int | None = None):
     """Yield X, X^2, ..., X^n (nothing for n = 0), each the product of the
-    one before with X: the one loop that forms powers of a series."""
+    one before with X on the output orders >= lo: the one loop that forms
+    powers of a series.  X itself is yielded whole.  Each product reads the
+    power before it below lo (one order lower for an X of order <= 1), so
+    X^k keeps the full power's values on the orders >= lo + k - 2 only."""
     if n < 0:
         raise ValueError(f"tpowers expects a nonnegative exponent, got {n}")
     for k in range(n):
-        out = X if k == 0 else tmul(out, X)
+        out = X if k == 0 else tmul(out, X, lo)
         yield out
 
 
@@ -273,22 +281,23 @@ def tinvert(X: TSeries) -> TSeries:
     return out
 
 
-def tcommutator(X: TSeries, Y: TSeries) -> TSeries:
-    """[X, Y] with the coefficient commutators computed term-fused (the exact
-    scalar k = 0 cancellation happens per monomial pair, not after two full
-    Cauchy products)."""
-    return _cauchy(X, Y, commutator)
+def tcommutator(X: TSeries, Y: TSeries, lo: int | None = None) -> TSeries:
+    """[X, Y] on the output orders >= lo, with the coefficient commutators
+    computed term-fused (the exact scalar k = 0 cancellation happens per
+    monomial pair, not after two full Cauchy products)."""
+    return _cauchy(X, Y, partial(commutator, lo=lo))
 
 
-def conj_t(S: TSeries, A: Symbol) -> TSeries:
-    """S o A o S^{-1} for a constant coefficient operator A.
+def conj_t(S: TSeries, A: Symbol, lo: int | None = None) -> TSeries:
+    """S o A o S^{-1} for a constant coefficient operator A, with the last
+    product formed on the output orders >= lo (A itself is added whole).
 
     Evaluated as A + [S, A] o S^{-1}, as `symbol.conj` does: never forming
     the large S.A products, whose exact cancellation against A.S would
     otherwise dominate the rounding error.
     """
     A_t = TSeries.constant(S.params, A)
-    return A_t + tmul(tcommutator(S, A_t), tinvert(S))
+    return A_t + tmul(tcommutator(S, A_t), tinvert(S), lo)
 
 
 def product_integral(v, n: int) -> TSeries:

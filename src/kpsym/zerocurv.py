@@ -58,7 +58,8 @@ class ConnForm:
 
 def build_Z(jet: KPJet) -> tuple:
     """(Z_D, Z_S) with components pi_D(L^k) and -pi_S(L^k), k = 1..K, so that
-    Z_D,k - Z_S,k = L^k, read from the jet's powers."""
+    Z_D,k - Z_S,k = L^k, read from the jet's powers (so on the orders those
+    hold, see `KPJet.powers`)."""
     zd, zs = {}, {}
     for k, pw in enumerate(jet.powers, 1):
         zd[k], zs[k] = pw.d_part(), -pw.s_part()
@@ -83,10 +84,15 @@ def zs_residual(W: ConnForm, m: int, n: int, sign: int) -> float:
 
 def curvature_entry(theta: ConnForm, i: int, j: int) -> TSeries:
     """F_{i,j} = d_i theta_j - d_j theta_i - [theta_i, theta_j] (1/2 absorbed)
-    over valuations <= V - max(i, j), the ones the truncated form determines."""
-    cap = theta.params.V - max(i, j)
+    over valuations <= V - max(i, j), the ones the truncated form determines.
+    The bracket is formed on the reported orders >= F only, the ones
+    `zs_residual` and `ym_value` read; below F the entry holds the
+    derivative terms alone."""
+    params = theta.params
+    cap = params.V - max(i, j)
     ti, tj = theta.component(i), theta.component(j)
-    return ddt(tj, i).capped(cap) - ddt(ti, j).capped(cap) - tcommutator(ti.capped(cap), tj.capped(cap))
+    bracket = tcommutator(ti.capped(cap), tj.capped(cap), lo=params.F)
+    return ddt(tj, i).capped(cap) - ddt(ti, j).capped(cap) - bracket
 
 
 def ym_value(theta: ConnForm, k: float, n: int, i: int, j: int, Mr: int, Q: int = 8) -> float:

@@ -373,13 +373,31 @@ def test_unusable_out_dir_exits_2_before_running(tmp_path, capsys):
     assert plan_stats()["compose_calls"] == before
 
 
+def src_env():
+    """The environment of a child process that imports this kpsym."""
+    src = str(Path(kpsym.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_import_loads_no_cli_criteria_or_scipy():
     # `import kpsym` is the set-up cost of every process that uses the library
-    code = "import sys, kpsym; print(sorted({'kpsym.cli', 'kpsym.criteria', 'scipy'} & set(sys.modules)))"
-    src = str(Path(kpsym.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    mods = "{'kpsym.__main__', 'kpsym.cli', 'kpsym.criteria', 'scipy'}"
+    code = f"import sys, kpsym; print(sorted({mods} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_python_m_kpsym_runs_the_command_line(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY))
+    args = ["paper-table", "--config", str(cfg_path), "--out", str(tmp_path)]
+    report = tmp_path / "paper_table_report.json"
+    run = subprocess.run([sys.executable, "-m", "kpsym", *args], env=src_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    written = report.read_bytes()
+    report.unlink()
+    assert main(args) == 0
+    assert report.read_bytes() == written
 
 
 def test_verbose_reports_kernel_use(tmp_path, capsys):

@@ -266,11 +266,50 @@ def test_jet_powers_follow_its_operator(small_jet):
     X = small_jet.L.scale(0.5)
     moved = replace(small_jet, L=X)
     assert small_jet.powers is first
-    for got, want in zip(moved.powers, tpowers(X, small_jet.params.K), strict=True):
+    p = small_jet.params
+    for got, want in zip(moved.powers, tpowers(X, p.K, lo=p.F - p.K), strict=True):
         assert got.terms.keys() == want.terms.keys()
         assert all(np.array_equal(got.terms[m].c, want.terms[m].c) for m in want.terms)
     with pytest.raises(FrozenInstanceError):
         small_jet.L = X
+
+
+def test_floored_lax_values_equal_the_full_floor_values(small_jet):
+    # the jet's powers, its brackets and its second route are formed only
+    # on the orders the records read; the records keep the full forms' bits
+    p = small_jet.params
+    powers = list(tpowers(small_jet.L, p.K))
+    for n in range(1, p.K + 1):
+        cap = p.V - n
+        L, Ln = small_jet.L.capped(cap), powers[n - 1].capped(cap)
+        rhs_d, rhs_s = tcommutator(Ln.d_part(), L), tcommutator(Ln.s_part(), L)
+        lhs = ddt(small_jet.L, n).capped(cap)
+        want = (max((lhs - rhs_d).norm(), (lhs + rhs_s).norm()), (rhs_d + rhs_s).norm())
+        assert [v.hex() for v in lax_defects(small_jet, n)] == [v.hex() for v in want]
+    want = (small_jet.L - conj_t(small_jet.Y, small_jet.L0)).norm()
+    assert conj_consistency(small_jet).hex() == want.hex()
+
+
+def test_a_second_lax_check_misses_no_plan(small_jet):
+    # once the jet keeps its powers and second route, the floored brackets
+    # of its Lax records fit the plan cache
+    small_jet.powers, small_jet.L_via_Y
+    criteria.lax(small_jet)
+    first = plan_stats()
+    criteria.lax(small_jet)
+    again = plan_stats()
+    assert again["plan_hits"] > first["plan_hits"] and again["plan_misses"] == first["plan_misses"]
+
+
+def test_a_tiny_negative_order_of_y_fails_its_record(small_jet, small_params):
+    # 1e-300 squares to 0, so an l2 norm would read this coefficient as absent
+    tiny = Symbol.xi(small_params, -1, 1e-300)
+    assert tiny.order_norms() == {-1: 0.0}
+    jet = replace(small_jet, Y=small_jet.Y + TSeries.monomial(small_params, (0, 1, 0), tiny))
+    records = {r.name: r for r in criteria.factorization(jet)}
+    record = records["factorize/y-strictly-differential"]
+    assert record.value == 1e-300 and not record.passed
+    assert {r.name: r for r in criteria.factorization(small_jet)}["factorize/y-strictly-differential"].value == 0.0
 
 
 def test_conj_consistency_and_sensitivity(small_jet, small_params):

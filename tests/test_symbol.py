@@ -10,6 +10,7 @@ closed forms for powers of L = xi + u1 xi^-1 + u2 xi^-2:
     [L^2_D, L^3_D] = (3 u1'' + 6 u2') xi + (3 u2'' + u1''' - 6 u1' u1)
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
 
@@ -389,6 +390,46 @@ def test_plan_cache_warm_equals_cold(kind):
     assert all(same_symbol(w, c) for w, c in zip(warm, cold))
 
 
+FLOORED = {"narrow": P, "wide": P.with_wide(True), "d2": TruncParams(d=2, M=8, F=-6, g=6, V=4, K=3)}
+
+
+def random_symbol(p, rng, top):
+    """Coefficients of random widths 1..7 on about 80% of the orders floor .. top."""
+    return Symbol.from_terms(
+        p, {n: LoopFn.random_trig(rng, p.M, int(rng.integers(1, 8)), d=p.d) for n in range(p.floor, top + 1)
+            if rng.random() < 0.8})
+
+
+def same_bits(a, b):
+    """Equal orders and coefficient values, signs of zeros included."""
+    return a.lo == b.lo and all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in ((a.c.real, b.c.real), (a.c.imag, b.c.imag))
+    )
+
+
+def same_band(got, full, lo):
+    """`got` holds the bits of `full` on the orders >= lo (a zero symbol's
+    lowest order means nothing)."""
+    want = full.band(lo=lo)
+    return (got.is_zero() and want.is_zero()) or same_bits(got, want)
+
+
+@pytest.mark.parametrize("kind", FLOORED)
+def test_products_on_an_output_floor_equal_the_full_products_there(kind):
+    # lo drops the rows of every output below it and cuts some narrow
+    # steps to one row; the orders >= lo keep their bits
+    p = FLOORED[kind]
+    rng = np.random.default_rng(1)
+    one = Symbol.identity(p)
+    for _ in range(12):
+        A, B = (random_symbol(p, rng, int(rng.integers(-2, 3))) for _ in range(2))
+        for product, X, Y in ((compose, A, B), (commutator, A, B), (compose, one, B), (compose, A, one)):
+            full = product(X, Y)
+            for lo in (p.floor - 1, p.floor, p.F - p.K, p.F, p.F + 2):
+                assert same_band(product(X, Y, lo=lo), full, lo)
+
+
 def test_plan_cache_key_is_complete():
     # pairs sharing every other part of the signature: each result must not
     # depend on which one ran first
@@ -400,11 +441,21 @@ def test_plan_cache_key_is_complete():
     # same lowest order as B, one order more
     B_higher = Symbol.from_terms(P, {**B.a, 2: LoopFn.cos(M)})
     assert A_holed.lo == A.lo and A_holed.order == A.order and B_higher.lo == B.lo
+    # on output orders >= -6, left order -6 makes one row (k = 0, m = 0).
+    # P's working floor is -12, where that step has more rows, so the row
+    # runs as GEMM; P0's is -6, where it runs as GEMV: the working floor
+    # belongs in the key
+    P0 = replace(P, g=0)
+    low = [{-6: LoopFn.random_trig(rng, M, M), 0: LoopFn.cos(M)},
+           {0: LoopFn.random_trig(rng, M, M), -1: LoopFn.cos(M)}]
+    low_g, low_0 = ([Symbol.from_terms(q, terms) for terms in low] for q in (P, P0))
     pairs = [
         (lambda: compose(A, B), lambda: compose(*deformed)),
         (lambda: compose(A, B), lambda: compose(A_holed, B)),
         (lambda: compose(A, B), lambda: compose(A, B_higher)),
         (lambda: compose(A, B), lambda: commutator(A, B)),
+        (lambda: compose(A, B), lambda: compose(A, B, lo=P.F)),
+        (lambda: compose(*low_g, lo=P0.floor), lambda: compose(*low_0)),
     ]
     for first, second in pairs:
         for f, g in ((first, second), (second, first)):
@@ -603,7 +654,7 @@ def test_wide_desk_solve_weights_are_exact(monkeypatch):
     p = TruncParams(wide=True)
     kp_solve(Symbol.from_terms(p, {0: LoopFn.const(1, p.M, 1.0), -1: LoopFn.cos(p.M)}), p)
     weights = {}
-    for (d, _, _, eps, _, _, _, _, _, nB), plan in plans.items():
+    for (d, _, _, _, eps, _, _, _, _, _, nB), plan in plans.items():
         for n, rows, w, blocks in plan.steps:
             for r0 in blocks[:, 2] * d:
                 k = int(rows[r0]) // (nB * d)

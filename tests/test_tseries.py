@@ -29,6 +29,8 @@ from kpsym import (
     tpowers,
 )
 
+from test_symbol import FLOORED, random_symbol, same_band, same_bits
+
 P = TruncParams(M=16, F=-6, g=6, V=4, K=3)
 M = P.M
 
@@ -81,14 +83,6 @@ def full_series(params, rng):
     )
 
 
-def same_bits(a, b):
-    """Equal orders and coefficient values, signs of zeros included."""
-    return a.lo == b.lo and all(
-        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
-        for x, y in ((a.c.real, b.c.real), (a.c.imag, b.c.imag))
-    )
-
-
 def test_capped_keeps_exactly_the_valuations_up_to_the_cap():
     X = full_series(P, np.random.default_rng(6))
     for v in range(P.V + 1):
@@ -114,6 +108,20 @@ def test_capped_products_equal_the_full_products_up_to_the_cap(wide):
             got = prod(X.capped(v), Y.capped(v))
             assert got.monomials() == [m for m in full.monomials() if m.val <= v]
             assert all(same_bits(got.terms[m], full.terms[m]) for m in got.terms)
+
+
+@pytest.mark.parametrize("kind", FLOORED)
+def test_series_products_on_an_output_floor_equal_the_full_products_there(kind):
+    p = FLOORED[kind]
+    rng = np.random.default_rng(2)
+    monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0)]
+    X, Y = (TSeries(p, {m: random_symbol(p, rng, int(rng.integers(-2, 3))) for m in monos}) for _ in range(2))
+    for prod in (tmul, tcommutator):
+        full = prod(X, Y)
+        for lo in (p.floor - 1, p.floor, p.F - p.K, p.F, p.F + 2):
+            got = prod(X, Y, lo=lo)
+            assert got.terms.keys() <= full.terms.keys()
+            assert all(same_band(got.term(m), full.terms[m], lo) for m in full.terms)
 
 
 def test_tmul_unit():

@@ -19,6 +19,7 @@ from kpsym import (
     kp_solve,
     realize_matrix,
     tcommutator,
+    tpowers,
     ym_value,
     zs_residual,
 )
@@ -103,18 +104,44 @@ def test_zs_residual_equals_the_uncapped_reference(forms, small_params):
                 assert zs_residual(W, m, n, sign).hex() == uncapped_entry(theta, m, n).norm().hex()
 
 
-def test_ym_value_equals_the_uncapped_reference(forms, small_params):
-    k, n, Mr, Q = 0.05, 2, 8, 4
+CUBE = {"k": 0.05, "n": 2, "Mr": 8, "Q": 4}
+
+
+def quadrature(F, k, n, Mr, Q):
+    """ym_value's Gauss-Legendre sum over the orders >= F of a curvature entry."""
+    params = F.params
+    F = F.map_coeffs(lambda s: s.band(lo=params.F))
     nodes, weights = np.polynomial.legendre.leggauss(Q)
+    total = 0.0
+    for combo in product(range(Q), repeat=n):
+        t = [nodes[q] * k for q in combo] + [0.0] * (params.K - n)
+        w = float(np.prod([weights[q] * k for q in combo]))
+        total += w * float(np.sum(np.abs(realize_matrix(eval_t(F, t), Mr)) ** 2))
+    return total
+
+
+def test_ym_value_equals_the_uncapped_reference(forms):
     for theta in forms:
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            F = uncapped_entry(theta, i, j).map_coeffs(lambda s: s.band(lo=small_params.F))
-            want = 0.0
-            for combo in product(range(Q), repeat=n):
-                t = [nodes[q] * k for q in combo] + [0.0] * (small_params.K - n)
-                w = float(np.prod([weights[q] * k for q in combo]))
-                want += w * float(np.sum(np.abs(realize_matrix(eval_t(F, t), Mr)) ** 2))
-            assert ym_value(theta, k, n, i, j, Mr, Q).hex() == want.hex()
+            assert ym_value(theta, i=i, j=j, **CUBE).hex() == quadrature(uncapped_entry(theta, i, j), **CUBE).hex()
+
+
+def full_floor_forms(jet):
+    """(Z_D, Z_S) as build_Z forms them, from powers of L formed down to the
+    working floor."""
+    zd, zs = {}, {}
+    for k, pw in enumerate(tpowers(jet.L, jet.params.K), 1):
+        zd[k], zs[k] = pw.d_part(), -pw.s_part()
+    return ConnForm(zd), ConnForm(zs)
+
+
+def test_floored_forms_and_brackets_keep_the_full_floor_values(small_jet):
+    # the jet's powers are formed on orders >= F - K and each bracket on
+    # orders >= F; what the records read keeps the bits of the full forms
+    for theta, full in zip(build_Z(small_jet), full_floor_forms(small_jet)):
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            assert zs_residual(theta, i, j, +1).hex() == uncapped_entry(full, i, j).norm().hex()
+            assert ym_value(theta, i=i, j=j, **CUBE).hex() == quadrature(uncapped_entry(full, i, j), **CUBE).hex()
 
 
 def test_zs_sign_flip_is_detected(forms):
