@@ -8,10 +8,11 @@ With U = sum_v U_v and S = 1 + sum_{v >= 1} S_v, the recursion
     Y_v = pi_D(W_v),   S_v = -pi_S(W_v)
 
 enforces S o U = Y level by level; the splitting makes the pair unique.
-The solver conjugates the base operator by S.  The jet forms the second
-route, conjugation by Y, on first read, so the agreement of the two routes
-stays an independent check; it also keeps the powers of L that the checks
-read.
+The solver forms L = S L0 S^{-1} from L o S = S o L0 by back-substitution
+over the valuation (`conj_t`), with no inverse of S.  The jet forms the
+second route, the same sweep with Y in place of S, on first read, so the
+agreement of the two routes stays an independent check; it also keeps the
+powers of L that the checks read.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ class KPJet:
     @cached_property
     def L_via_Y(self) -> TSeries:
         """The second conjugation route Y L0 Y^{-1} on orders >= F (below F
-        it holds L0 alone)."""
+        it holds L0 alone).  The sweep of `conj_t` forms the valuation-v
+        term on the orders >= F - (V - v), since Y has order <= val, and
+        no lower than the working floor: the orders >= F keep the values
+        of the sweep run at the working floor, bit for bit."""
         return conj_t(self.Y, self.L0, lo=self.params.F)
 
     @cached_property
@@ -111,10 +115,9 @@ def mulase_factorize(U: TSeries) -> tuple:
             continue
         W = U.terms[mono]
         for beta, Sb in S.items():
-            if all(b <= m for b, m in zip(beta, mono)):
-                gamma = TMono(tuple(m - b for b, m in zip(beta, mono)))
-                if gamma in U.terms:
-                    W = W + compose(Sb, U.terms[gamma])
+            gamma = mono.quotient(beta)
+            if gamma in U.terms:
+                W = W + compose(Sb, U.terms[gamma])
         Yv = W.d_part()
         top = Yv.order
         if top is not None and top > mono.val:

@@ -3,9 +3,10 @@ valuation val(t_n) = n and truncated at the cap V.
 
 Monomials are exponent tuples; everything below iterates in graded
 lexicographic order so results are reproducible.  Because every retained
-monomial has valuation <= V, exponentials and inverses of 1 + (val >= 1)
-series are finite sums of the powers `tpowers` yields, exact in the
-truncated algebra.
+monomial has valuation <= V, the exponential of a (val >= 1) series is a
+finite sum of the powers `tpowers` yields, exact in the truncated algebra,
+and `conj_t` conjugates by a unit 1 + (val >= 1) in one triangular sweep
+over the monomials, with no inverse.
 
 A `TSeries` holds only its nonzero coefficients, so, as for `Symbol`, the
 values are the only record of which monomials are present.  Its
@@ -17,12 +18,14 @@ constructor drops, and a product skips, whatever lands above it);
 `capped(v)` re-truncates at v.  Products are spelled out: `tmul` composes
 coefficients, `tcommutator` brackets them and `scale` multiplies by a
 number.  Products take an output floor `lo`, as `compose` does: `tmul`,
-`tcommutator`, `tpowers` and the last product of `conj_t` form only the
-coefficient orders >= lo, with the full product's values there.
+`tcommutator`, `tpowers` and `conj_t` form only the coefficient orders
+>= lo (`conj_t` a little lower inside its sweep), with the full product's
+values there.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from functools import partial
 from math import factorial
@@ -39,7 +42,6 @@ __all__ = [
     "scale_h",
     "product_integral",
     "tpowers",
-    "tinvert",
     "tcommutator",
     "conj_t",
 ]
@@ -71,6 +73,12 @@ class TMono(tuple):
 
     def __add__(self, other):
         return TMono(tuple(a + b for a, b in zip(self, other)))
+
+    def quotient(self, other):
+        """The monomial self / other, or None if other does not divide self."""
+        if all(b <= a for a, b in zip(self, other)):
+            return TMono(a - b for a, b in zip(self, other))
+        return None
 
     def t_value(self, t) -> complex:
         v = 1.0
@@ -268,19 +276,6 @@ def tpowers(X: TSeries, n: int, lo: int | None = None):
         yield out
 
 
-def tinvert(X: TSeries) -> TSeries:
-    """Inverse of 1 + N with val(N) >= 1: the finite Neumann sum
-    1 + sum_{k <= V} (-N)^k over `tpowers`."""
-    params = X.params
-    N = X - TSeries.one(params)
-    if TMono.zero(params.K) in N.terms:
-        raise ValueError("tinvert expects a unit with constant term 1")
-    out = TSeries.one(params)
-    for pw in tpowers(-N, params.V):
-        out = out + pw
-    return out
-
-
 def tcommutator(X: TSeries, Y: TSeries, lo: int | None = None) -> TSeries:
     """[X, Y] on the output orders >= lo, with the coefficient commutators
     computed term-fused (the exact scalar k = 0 cancellation happens per
@@ -289,15 +284,46 @@ def tcommutator(X: TSeries, Y: TSeries, lo: int | None = None) -> TSeries:
 
 
 def conj_t(S: TSeries, A: Symbol, lo: int | None = None) -> TSeries:
-    """S o A o S^{-1} for a constant coefficient operator A, with the last
-    product formed on the output orders >= lo (A itself is added whole).
+    """S o A o S^{-1} for a unit S = 1 + N (val(N) >= 1) and an operator A
+    constant in t, on the output orders >= lo (A itself is added whole).
 
-    Evaluated as A + [S, A] o S^{-1}, as `symbol.conj` does: never forming
-    the large S.A products, whose exact cancellation against A.S would
-    otherwise dominate the rounding error.
+    L o S = S o A fixes Delta = L - A one valuation at a time, so the sweep
+    never forms S^{-1}: over the monomials v in graded order,
+
+        Delta_v = [N_v, A] - sum_{w <= v, val w >= 1} Delta_{v-w} o N_w,
+
+    the products summed over w in descending graded order and the sum
+    subtracted once.  The bracket is term-fused, as in `conj`.  Delta_v is
+    read by the products of valuation up to V, each of which reads it at
+    most rho.val(w) orders below its own floor, where rho is the largest
+    order of N per unit valuation (0 for a dressing, 1 for a differential
+    series by its growth condition).  So Delta_v is formed on the orders
+    >= lo - rho.(V - val v), no lower than the working floor, and the
+    orders >= lo hold the full sweep's values bit for bit.
     """
-    A_t = TSeries.constant(S.params, A)
-    return A_t + tmul(tcommutator(S, A_t), tinvert(S), lo)
+    params = S.params
+    zero = TMono.zero(params.K)
+    if not (S.term(zero) - Symbol.identity(params)).is_zero():
+        raise ValueError("conj_t expects a unit with constant term 1")
+    N = {w: S.terms[w] for w in S.monomials() if w != zero}  # graded order
+    rho = max([0] + [-(-N[w].order // w.val) for w in N])  # rounded up
+    lo = params.floor if lo is None else max(lo, params.floor)
+    delta = {}
+    for v in _graded_monomials(params):
+        floor = max(lo - rho * (params.V - v.val), params.floor)
+        prods = [compose(delta[u], N[w], lo=floor) for w in reversed(N) if (u := v.quotient(w)) in delta]
+        dv = commutator(N[v], A, lo=floor) if v in N else Symbol.zero(params)
+        if prods:
+            dv = dv - sum(prods[1:], prods[0])
+        if not dv.is_zero():
+            delta[v] = dv
+    return TSeries.constant(params, A) + TSeries(params, {v: d.band(lo=lo) for v, d in delta.items()})
+
+
+def _graded_monomials(params: TruncParams) -> list:
+    """Every monomial of valuation 1..V, in graded order."""
+    ranges = (range(params.V // n + 1) for n in range(1, params.K + 1))
+    return sorted((m for m in map(TMono, itertools.product(*ranges)) if 0 < m.val <= params.V), key=TMono.key)
 
 
 def product_integral(v, n: int) -> TSeries:

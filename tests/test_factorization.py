@@ -29,12 +29,14 @@ from kpsym import (
     lax_defects,
     mulase_factorize,
     tcommutator,
-    tinvert,
     tmul,
 )
 from kpsym import criteria
 from kpsym.symbol import plan_stats
 from kpsym.tseries import tpowers
+
+from test_symbol import FLOORED
+from test_tseries import neumann_inverse
 
 
 def dressing(params, entries):
@@ -109,7 +111,7 @@ def test_factorize_structure(small_jet, small_params):
 
 def test_factorize_idempotent(small_jet, small_params):
     # re-factorizing S^{-1} Y returns the same pair (uniqueness)
-    U2 = tmul(tinvert(small_jet.S), small_jet.Y)
+    U2 = tmul(neumann_inverse(small_jet.S), small_jet.Y)
     S2, Y2 = mulase_factorize(U2)
     assert (S2 - small_jet.S).norm() < 1e-10
     assert (Y2 - small_jet.Y).norm() < 1e-10
@@ -206,6 +208,29 @@ def test_kp_solve_initial_value(small_jet, small_params):
     L0 = small_jet.L.term((0, 0, 0))
     assert (L0 - small_jet.L0).is_zero()
     assert (small_jet.L0.coeff(-1) - LoopFn.sin(16)).norm() < 1e-12
+
+
+def test_kp_solve_makes_the_measured_compose_calls(small_params):
+    # measured at this scale: 57 (88 when L was A + [S, A] o S^{-1} with the
+    # Neumann inverse of S); a return to an inverse route fails here
+    S0 = dressing(small_params, {-1: LoopFn.cos(16)})
+    before = plan_stats()["compose_calls"]
+    kp_solve(S0, small_params)
+    assert plan_stats()["compose_calls"] - before == 57
+
+
+@pytest.mark.parametrize("kind", FLOORED)
+def test_su_minus_y_record_equals_the_full_product(kind):
+    # the record forms S o U on the orders >= F that its norm reads; it keeps
+    # the full product's bits, on a jet and on one whose U is bumped
+    p = FLOORED[kind]
+    jet = kp_solve(dressing(p, {-1: LoopFn.cos(p.M, d=p.d), -2: LoopFn.sin(p.M, 2, 0.3, d=p.d)}), p)
+    bump = Symbol.from_terms(p, {-2: LoopFn.cos(p.M, 3, 1e-3, d=p.d), p.floor: LoopFn.cos(p.M, d=p.d)})
+    bumped = replace(jet, U=jet.U + TSeries.monomial(p, (0, 1, 0), bump))
+    for j in (jet, bumped):
+        record = {r.name: r for r in criteria.factorization(j)}["factorize/su-equals-y"]
+        assert record.value.hex() == (tmul(j.S, j.U) - j.Y).norm().hex()
+    assert record.value > 0
 
 
 def test_kp_solve_rejects_bad_dressing(small_params):

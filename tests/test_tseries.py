@@ -19,12 +19,12 @@ from kpsym import (
     conj_t,
     ddt,
     eval_t,
+    kp_solve,
     power,
     product_integral,
     scale_h,
     tcommutator,
     texp,
-    tinvert,
     tmul,
     tpowers,
 )
@@ -52,9 +52,10 @@ def test_series_hold_only_nonzero_terms():
     assert TSeries.monomial(P, (1, 0, 0), Symbol.zero(P)).terms == {}
     assert (X - X).terms == {}
     assert ddt(X, 2).terms == {}
-    # a unit whose constant term is exactly 1: the inverse's Neumann terms
-    # and the exponential's powers keep no zero coefficient either
-    for series in (tinvert(TSeries.one(P) + X), texp(X), tmul(X, X - X)):
+    # a unit whose constant term is exactly 1: the conjugation's sweep and
+    # the exponential's powers keep no zero coefficient either
+    A = Symbol.from_terms(P, {-1: LoopFn.cos(M)})
+    for series in (conj_t(TSeries.one(P) + X, A), texp(X), tmul(X, X - X)):
         assert all(not s.is_zero() for s in series.terms.values())
     # the constructor drops a zero coefficient and a monomial above the cap,
     # and refuses one with the wrong number of exponents
@@ -197,9 +198,15 @@ def test_texp_inverse_pair():
     assert (prod - TSeries.one(P)).norm() < 1e-10
 
 
-def test_tinvert():
+def test_conj_t_solves_the_conjugation_identity():
+    # L = conj_t(X, A) satisfies L o X = X o A, and a unit's constant term is 1
     X = TSeries.one(P) + TSeries.monomial(P, (1, 0, 0), Symbol.from_terms(P, {-1: LoopFn.cos(M)}))
-    assert (tmul(X, tinvert(X)) - TSeries.one(P)).norm() < 1e-12
+    A = Symbol.from_terms(P, {1: LoopFn.const(1, M, 1.0), -1: LoopFn.sin(M)})
+    L = conj_t(X, A)
+    assert not L.capped(1).is_zero()
+    assert (tmul(L, X) - tmul(X, TSeries.constant(P, A))).norm() < 1e-12
+    with pytest.raises(ValueError, match="constant term 1"):
+        conj_t(X.scale(2.0), A)
 
 
 def test_tpowers_of_exponent_zero_is_empty():
@@ -209,12 +216,13 @@ def test_tpowers_of_exponent_zero_is_empty():
         list(tpowers(X, -1))
 
 
-def test_texp_and_tinvert_at_cap_zero_are_one():
+def test_texp_and_conj_t_at_cap_zero_are_constant():
     p0 = replace(P, V=0)
     X = TSeries.monomial(p0, (1, 0, 0), Symbol.xi(p0))  # val 1 > V: empty
-    for got in (texp(X), tinvert(TSeries.one(p0) + X)):
+    A = Symbol.from_terms(p0, {-1: LoopFn.cos(M)})
+    for got, want in ((texp(X), Symbol.identity(p0)), (conj_t(TSeries.one(p0) + X, A), A)):
         assert got.monomials() == [TMono.zero(P.K)]
-        assert same_bits(got.term(TMono.zero(P.K)), Symbol.identity(p0))
+        assert same_bits(got.term(TMono.zero(P.K)), want)
 
 
 def _texp_loop(X):
@@ -229,8 +237,9 @@ def _texp_loop(X):
     return out
 
 
-def _tinvert_loop(X):
-    """tinvert as one loop of its own: (-N)^k = (-N)^(k-1) (-N), starting from 1 (-N)."""
+def neumann_inverse(X):
+    """Inverse of a unit X = 1 + N as the Neumann sum of (-N)^k, each power
+    the one before times -N."""
     minus_N = -(X - TSeries.one(X.params))
     total = term = TSeries.one(X.params)
     for _ in range(X.params.V):
@@ -241,21 +250,74 @@ def _tinvert_loop(X):
     return total
 
 
-def _conj_t_coefficientwise(S, A):
-    """conj_t with the bracket [S, A] formed coefficient by coefficient."""
-    lie = S.map_coeffs(lambda s: commutator(s, A))
-    return TSeries.constant(S.params, A) + tmul(lie, _tinvert_loop(S))
+def neumann_conj(S, A):
+    """S o A o S^{-1} as A + [S, A] o S^{-1}, with the Neumann inverse."""
+    A_t = TSeries.constant(S.params, A)
+    return A_t + tmul(tcommutator(S, A_t), neumann_inverse(S))
+
+
+def _conj_t_sweep(S, A):
+    """conj_t written out coefficient by coefficient on the working floor:
+    over every monomial v of valuation 1..V in graded order,
+    Delta_v = [N_v, A] - (the sum of Delta_{v-w} o N_w over the w of S in
+    descending graded order)."""
+    p = S.params
+    monos = sorted((m for m in map(TMono, product(range(p.V + 1), repeat=p.K)) if 0 < m.val <= p.V), key=TMono.key)
+    delta = {}
+    for v in monos:
+        prods = []
+        for w in reversed(monos):
+            if w in S.terms and all(b <= a for a, b in zip(v, w)):
+                u = TMono(a - b for a, b in zip(v, w))
+                if u in delta:
+                    prods.append(compose(delta[u], S.terms[w]))
+        dv = commutator(S.terms[v], A) if v in S.terms else Symbol.zero(p)
+        if prods:
+            dv = dv - sum(prods[1:], prods[0])
+        if not dv.is_zero():
+            delta[v] = dv
+    return TSeries.constant(p, A) + TSeries(p, delta)
 
 
 def test_series_polynomials_match_their_loops_bit_for_bit(small_jet):
-    """texp, tinvert and conj_t, built on tpowers, give the values of the
-    loops written out, at every monomial and sign bit."""
+    """texp, built on tpowers, and conj_t's sweep give the values of the
+    loops written out, at every monomial and sign bit, on both routes."""
     params, L0 = small_jet.params, small_jet.L0
     gen = TSeries(params, {TMono.unit(params.K, n): power(L0, n) for n in range(1, params.K + 1)})
-    for got, want in ((texp(gen), _texp_loop(gen)), (tinvert(small_jet.S), _tinvert_loop(small_jet.S)),
-                      (conj_t(small_jet.S, L0), _conj_t_coefficientwise(small_jet.S, L0))):
+    for got, want in ((texp(gen), _texp_loop(gen)), (conj_t(small_jet.S, L0), _conj_t_sweep(small_jet.S, L0)),
+                      (conj_t(small_jet.Y, L0), _conj_t_sweep(small_jet.Y, L0))):
         assert got.monomials() == want.monomials()
         assert all(same_bits(got.terms[m], want.terms[m]) for m in got.terms)
+
+
+@pytest.mark.parametrize("wide, bound", [(False, 1e-14), (True, 1e-17)], ids=["narrow", "wide"])
+def test_conj_t_agrees_with_the_neumann_route(small_params, wide, bound):
+    # measured: 2.9e-15 (narrow) and 2.5e-18 (wide), with |L| up to 2.1e2
+    p = small_params.with_wide(wide)
+    jet = kp_solve(Symbol.from_terms(p, {0: LoopFn.const(1, p.M, 1.0), -1: LoopFn.cos(p.M)}), p)
+    assert (conj_t(jet.S, jet.L0) - neumann_conj(jet.S, jet.L0)).norm() < bound
+
+
+def test_conj_t_agrees_with_the_neumann_route_at_desk_scale(desk_jet):
+    # measured: 1.35e-14, with |L| up to 9.3e5
+    assert (desk_jet.L - neumann_conj(desk_jet.S, desk_jet.L0)).norm() < 5e-14
+
+
+@pytest.mark.parametrize("kind", FLOORED)
+def test_conj_t_on_an_output_floor_equals_the_full_sweep_there(kind):
+    # the Y route forms each term lower than lo by the orders Y's later
+    # products read; S's route needs nothing below lo
+    p = FLOORED[kind]
+    one = LoopFn.const(p.d, p.M, 1.0)
+    jet = kp_solve(Symbol.from_terms(p, {0: one, -1: LoopFn.cos(p.M, d=p.d), -2: LoopFn.sin(p.M, 2, 0.3, d=p.d)}), p)
+    for X in (jet.Y, jet.S):
+        full = conj_t(X, jet.L0)
+        for lo in (p.floor - 1, p.floor, p.F - p.K, p.F, p.F + 2):
+            got = conj_t(X, jet.L0, lo=lo)
+            assert got.terms.keys() <= full.terms.keys()
+            assert got.term(TMono.zero(p.K)) is jet.L0  # A itself is added whole
+            assert all(same_band(got.term(m), full.terms[m], lo) for m in full.terms if m.val)
+    assert all(same_band(jet.L_via_Y.term(m), s, p.F) for m, s in conj_t(jet.Y, jet.L0).terms.items() if m.val)
 
 
 def test_norm_keeps_nan():
