@@ -20,7 +20,6 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +90,7 @@ class RunConfig:
                 raise ConfigError(f"{origin}: {key} must be an integer, got {value!r}")
         for key in ("cube_k", "flow_t_end"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+            if not _finite_real(value):
                 raise ConfigError(f"{origin}: {key} must be a finite real number, got {value!r}")
         if not isinstance(self.wide, bool):
             raise ConfigError(f"{origin}: wide must be true or false, got {self.wide!r}")
@@ -143,8 +142,18 @@ class RunConfig:
         return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
 
 
+def _finite_real(value) -> bool:
+    """Whether a JSON value is a number a float holds finitely: true and false
+    arrive as bool, a subclass of int, NaN and Infinity as float, and an
+    integer may exceed every float (a NaN fails the comparison too)."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
 def _from_table(params: TruncParams, table: dict) -> LoopFn:
-    """The function of a {mode: [re, im]} table."""
+    """The function of a {mode: [re, im]} table, each part a finite number."""
+    for m, v in table.items():
+        if len(v) != 2 or not all(map(_finite_real, v)):
+            raise ValueError(f"mode {m} must be [re, im], two finite numbers, got {v!r}")
     return LoopFn.from_modes(params.d, params.M, {int(m): complex(v[0], v[1]) for m, v in table.items()})
 
 

@@ -141,11 +141,13 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float) -> FlowState:
 
     The stepping runs in double precision: a wide-mode operator raises
     ValueError (narrow it first with `Symbol.narrow`), as does a step size
-    or end time that is negative, infinite or NaN.  After each step the
-    state is mode-filtered at FILTER_FRAC * M: near-cutoff rounding junk
-    would otherwise be amplified explosively by the high-derivative
-    couplings that feed the guard band (the true content there is
-    exponentially small for smooth data).
+    or end time that is negative, infinite or NaN, or an end time that is
+    not a whole number of steps to within 1e-9 relative.  Step i ends at
+    t = i * dt, not at a running sum of dt.  After each step the state is
+    mode-filtered at FILTER_FRAC * M: near-cutoff rounding junk would
+    otherwise be amplified explosively by the high-derivative couplings
+    that feed the guard band (the true content there is exponentially
+    small for smooth data).
     Raises FlowBlowup if a reported-band coefficient sup-norm exceeds
     BLOWUP or is not finite; guard-band orders legitimately carry large
     values.
@@ -154,24 +156,24 @@ def flow_delinearized(L0: Symbol, n: int, t_end: float, dt: float) -> FlowState:
         raise ValueError(f"step size must be positive and finite, got {dt}")
     if not 0 <= t_end < float("inf"):
         raise ValueError(f"end time must be finite and >= 0, got {t_end}")
+    steps = round(t_end / dt)
+    if not abs(steps * dt - t_end) <= 1e-9 * t_end:
+        raise ValueError(f"end time {t_end} is not a whole number of steps of {dt}")
     if L0.order != 1:
         raise ValueError("flow expects an order-1 operator")
     if L0.params.wide:
         raise ValueError("flow steps in double precision; narrow the operator first")
     mf = int(FILTER_FRAC * L0.params.M)
-    steps = int(round(t_end / dt))
     L = L0.mode_filter(mf)
-    t = 0.0
-    for _ in range(steps):
+    for i in range(1, steps + 1):
         k1 = _flow_rhs(L, n)
         k2 = _flow_rhs(L + k1.scale(dt / 2), n)
         k3 = _flow_rhs(L + k2.scale(dt / 2), n)
         k4 = _flow_rhs(L + k3.scale(dt), n)
         L = (L + (k1 + k2.scale(2.0) + k3.scale(2.0) + k4).scale(dt / 6)).mode_filter(mf)
-        t += dt
         if not L.sup_norm(floor=L.params.F) <= BLOWUP:  # a NaN fails this test too
-            raise FlowBlowup(f"coefficient sup-norm exceeded {BLOWUP:.1e} at t={t:.4g}")
-    return FlowState(L=L, t=t)
+            raise FlowBlowup(f"coefficient sup-norm exceeded {BLOWUP:.1e} at t={i * dt:.4g}")
+    return FlowState(L=L, t=steps * dt)
 
 
 def flows_commute(L0: Symbol, n: int, m: int, t: float, dt: float) -> float:

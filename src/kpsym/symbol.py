@@ -14,8 +14,13 @@ sigma_n(x, -xi) = (-1)^n sigma_n(x, xi) automatic.
 
 A product forms the output orders >= its output floor lo only, which is
 the working floor F - g unless the caller asks for a higher one; algebraic
-identities are only claimed on orders >= F.  The guard band g keeps the
-reported band exact through the compositions used by the solvers.  The
+identities are only claimed on orders >= F.  The guard band g is there to
+keep those orders exact: tests/test_guard_band.py finds them bit-identical
+at g and g + 6 for `invert` and `conj_from` of a dressing, the L and S of
+`kp_solve`, and `taylor_jet(L0, n, 6)` for n = 1, 2.  It is no bound for
+every composition: `taylor_jet(L0, n, degree)` reaches (n - 1) * degree
+orders below its input, so at g = 8 the t3 jet's degrees 5 and 6 differ
+from their g = 14 values by 3.7e15 and 5.8e18 (ROADMAP item 14).  The
 working floor also ends the Neumann sum with which `invert` inverts a
 dressing.
 
@@ -44,15 +49,15 @@ differs: one BLAS product per left order in double precision, one
 `np.convolve` per left order over the measured mode supports in wide mode,
 where clongdouble has no BLAS.  Plans add their blocks of rows in the order
 of the Leibniz sum, which keeps every result bit-identical to a row-by-row
-scatter.  The 32 most recently used plans are kept; `plan_stats` reports
-the cache's use.
+scatter.  Each signature's plan is built once and kept until `clear_plans`;
+`plan_stats` reports the cache's use.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 from math import factorial
 from types import MappingProxyType
 
@@ -451,7 +456,8 @@ class _Plan:
     whose last bits differ from GEMM's, and GEMM's rows do not depend on
     their number; so a narrow step that lo cuts to one row repeats it, to
     run as the GEMM of the working floor's step.  Index arrays are int32 and
-    weights real: the 32 cached plans of a desk-scale flow take about 0.8 MB.
+    weights real: the 138 plans of a wide desk-scale solve and check hold
+    1.1 MB of arrays, the 132 of the d = 2 jets at M = 16 hold 0.6 MB.
     """
 
     __slots__ = ("kmax", "nq", "steps")
@@ -496,11 +502,7 @@ def _kcap(n: int, nb: int, lo: int) -> int:
     return n + nb - lo if n < 0 else min(n, n + nb - lo)
 
 
-# Plans kept at once, the least recently used going first.  A flow
-# right-hand side reuses a handful of signatures thousands of times; a
-# desk-scale Taylor jet makes 7.
-_PLAN_CAPACITY = 32
-_plan = lru_cache(maxsize=_PLAN_CAPACITY)(_Plan)
+_plan = cache(_Plan)
 _compose_calls = 0  # calls of `compose` since the last `clear_plans`
 
 
@@ -523,7 +525,7 @@ def clear_plans() -> None:
     _compose_calls = 0
 
 
-@lru_cache(maxsize=8)
+@cache
 def _toeplitz_index(d: int, M: int) -> np.ndarray:
     """Index of T[(p, k), (q, i)] = a[q - p][i, k] into apad, the flattened
     modes of a d x d coefficient a padded by 2M zero modes on each side."""

@@ -118,6 +118,16 @@ def test_config_rejects_bad_shapes():
         {"V": 2},  # below K = 3: the t_3 checks would read no valuation
         {"V": 0},
         [],  # not a JSON object
+        # a mode is [re, im]: exactly two finite numbers, neither a bool
+        {"u_table": [{"1": [float("nan"), 0.0]}, {}]},
+        {"u_table": [{}, {"-1": [0.5, float("-inf")]}]},
+        {"s0": [[-1, {"1": [float("inf"), 0.0]}]]},
+        {"s0": [[-1, {"1": [True, 0.0]}]]},
+        {"s0": [[-1, {"1": [0.5, 0.0, 7]}]]},
+        {"s0": [[-1, {"1": [0.5]}]]},
+        {"u_table": [{"1": ["0.5", 0.0]}, {}]},
+        {"cube_k": 10**400},  # an integer beyond every float
+        {"s0": [[-1, {"1": [10**400, 0.0]}]]},
     ],
 )
 def test_config_rejected_before_running(tmp_path, raw):

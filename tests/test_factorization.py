@@ -32,7 +32,7 @@ from kpsym import (
     tmul,
 )
 from kpsym import criteria
-from kpsym.symbol import plan_stats
+from kpsym.symbol import clear_plans, plan_stats
 from kpsym.tseries import tpowers
 
 from test_symbol import FLOORED
@@ -316,14 +316,20 @@ def test_floored_lax_values_equal_the_full_floor_values(small_jet):
 
 
 def test_a_second_lax_check_misses_no_plan(small_jet):
-    # once the jet keeps its powers and second route, the floored brackets
-    # of its Lax records fit the plan cache
+    # once the jet keeps its powers and second route, a repeat of its Lax
+    # and zero-curvature records (40 signatures) finds every plan it needs,
+    # since no plan is dropped before `clear_plans`
     small_jet.powers, small_jet.L_via_Y
-    criteria.lax(small_jet)
+    checks = (criteria.lax, criteria.zero_curvature)
+    clear_plans()
+    for check in checks:
+        check(small_jet)
     first = plan_stats()
-    criteria.lax(small_jet)
+    for check in checks:
+        check(small_jet)
     again = plan_stats()
     assert again["plan_hits"] > first["plan_hits"] and again["plan_misses"] == first["plan_misses"]
+    assert again["plans"] == again["plan_misses"]
 
 
 def test_a_tiny_negative_order_of_y_fails_its_record(small_jet, small_params):

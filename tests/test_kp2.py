@@ -145,7 +145,11 @@ def test_flow_trivial(small_params):
     L0 = Symbol.xi(small_params)
     state = flow_delinearized(L0, 2, 0.01, 0.01 / 64)
     assert (state.L - L0).norm(floor=small_params.floor) == 0.0
-    assert state.t == pytest.approx(0.01)
+    # the steps times dt: a running sum of 256 steps of 0.01/256 reads
+    # 0.009999999999999959
+    assert state.t == 0.01
+    assert flow_delinearized(L0, 2, 0.01, 0.01 / 256).t == 0.01
+    assert flow_delinearized(L0, 2, 0.01 * (1 + 1e-12), 0.001).t == 10 * 0.001
 
 
 def test_flow_rejects_bad_input(small_params):
@@ -157,6 +161,10 @@ def test_flow_rejects_bad_input(small_params):
         flow_delinearized(Symbol.xi(small_params), 2, -0.01, 0.001)
     with pytest.raises(ValueError, match="double precision"):
         flow_delinearized(Symbol.xi(small_params.with_wide(True)), 2, 0.01, 0.001)
+    # round(t_end / dt) steps would stop at t = 0.009 and 0.010
+    for t_end, dt in ((0.01, 0.003), (0.0105, 0.001)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            flow_delinearized(Symbol.xi(small_params), 2, t_end, dt)
 
 
 @pytest.mark.parametrize(
@@ -246,8 +254,8 @@ def test_taylor_jet_grows_its_powers_one_degree_per_step(small_jet):
 
 
 def test_taylor_jet_reuses_plans():
-    # a desk-scale t2 Taylor jet needs fewer compose plans than the cache
-    # holds, so a repeat finds every plan it needs
+    # every compose plan is kept, so a repeat of a desk-scale t2 Taylor jet
+    # finds every plan it needs
     p = TruncParams()
     L0 = conj_from(Symbol.from_terms(p, {0: LoopFn.const(1, p.M, 1.0), -1: LoopFn.cos(p.M)}), p)
     clear_plans()
