@@ -63,7 +63,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(), object_pairs_hook=partial(_unique_keys, path))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as e:
@@ -123,6 +123,8 @@ class RunConfig:
             raise ConfigError(f"{origin}: cube_n must lie in [1, K]")
         if self.flow_t_end <= 0:
             raise ConfigError(f"{origin}: flow_t_end must be positive")
+        if not 2 * self.flow_t_end <= sys.float_info.max:
+            raise ConfigError(f"{origin}: flow_t_end must be finite when doubled: flow also runs to 2 * flow_t_end")
         if self.seed < 0:
             raise ConfigError(f"{origin}: seed must be >= 0")
 
@@ -149,11 +151,26 @@ def _finite_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
+def _unique_keys(origin: str, pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; json.loads would keep the
+    last of a repeated key without a word."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"{origin}: duplicate key '{key}'")
+        out[key] = value
+    return out
+
+
 def _from_table(params: TruncParams, table: dict) -> LoopFn:
-    """The function of a {mode: [re, im]} table, each part a finite number."""
+    """The function of a {mode: [re, im]} table, each part a finite number
+    and each mode named by one key only ("1" and "01" name the same mode)."""
+    keys = {}
     for m, v in table.items():
         if len(v) != 2 or not all(map(_finite_real, v)):
             raise ValueError(f"mode {m} must be [re, im], two finite numbers, got {v!r}")
+        if keys.setdefault(int(m), m) != m:
+            raise ValueError(f"keys '{keys[int(m)]}' and '{m}' name the same mode {int(m)}")
     return LoopFn.from_modes(params.d, params.M, {int(m): complex(v[0], v[1]) for m, v in table.items()})
 
 
@@ -183,7 +200,7 @@ class Report:
         digest = config_hash(self.config)
         records = []
         for r in self.records:
-            record = {"name": r.name, "anchor": r.anchor, "value": float(r.value), "tol": float(r.tol),
+            record = {"name": r.name, "anchor": r.anchor, "value": _json_number(r.value), "tol": _json_number(r.tol),
                       "pass": bool(r.passed), "config_hash": digest}
             records.append(record if r.message is None else {**record, "message": r.message})
         body = {
@@ -195,7 +212,7 @@ class Report:
             "records": records,
             "pass": self.ok,
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        return json.dumps(body, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False) + "\n"
 
     def write(self, out_dir: str) -> Path:
         """Write the report into the existing directory `out_dir`."""
@@ -211,6 +228,13 @@ class Report:
             lines.append(f"[{status}] {r.name}: {float(r.value):.3e} (tol {float(r.tol):.1e}){why}")
         lines.append(f"=> {'all passed' if self.ok else 'FAILURES present'}")
         return "\n".join(lines)
+
+
+def _json_number(x) -> float | str:
+    """float(x), or for a non-finite x the string "NaN", "Infinity" or
+    "-Infinity": JSON has no number for these."""
+    x = float(x)
+    return x if np.isfinite(x) else json.dumps(x)
 
 
 def _version() -> str:

@@ -177,6 +177,11 @@ def flow_jet_ratio(L0: Symbol, direction: int, t_end: float, degree: int) -> tup
 
 
 def flow_commute(L0: Symbol, t_end: float) -> Record:
-    """Flowing t_1 then t_2 against t_2 then t_1, each for t_end at dt = t_end/256."""
-    return _at_most("flow/commute-12", "flow", flows_commute(L0, 1, 2, t_end, t_end / 256), 1e-6)
+    """Flowing t_1 then t_2 against t_2 then t_1, each for t_end at dt = t_end/256.
+    If a flow blows up, the value reads inf and the record's message says why."""
+    try:
+        gap, blowup = flows_commute(L0, 1, 2, t_end, t_end / 256), None
+    except FlowBlowup as exc:
+        gap, blowup = inf, str(exc)
+    return Record("flow/commute-12", "flow", gap, 1e-6, bool(gap <= 1e-6), blowup)
 

@@ -329,10 +329,6 @@ def _packed(params: TruncParams, lo: int, c: np.ndarray) -> Symbol:
     return out
 
 
-def _is_plain_identity(A: Symbol) -> bool:
-    return A.lo == 0 and len(A.c) == 1 and bool(np.array_equal(A.c, Symbol.identity(A.params).c))
-
-
 def compose(A: Symbol, B: Symbol, lo: int | None = None) -> Symbol:
     """Leibniz composition on the output orders >= lo (None, or any order
     below the working floor, means the working floor).
@@ -342,16 +338,15 @@ def compose(A: Symbol, B: Symbol, lo: int | None = None) -> Symbol:
     coefficient k times.  The k sum stops once the output order n + m - k
     falls below lo, so it is finite even for negative left orders.
     `compose(A, B, lo=lo)` equals `compose(A, B).band(lo=lo)` bit for bit,
-    without forming the lower orders.  Every matrix size d runs through the
-    same direct block-Toeplitz mode convolution (see `_compose`).
+    without forming the lower orders.  Every product, for every matrix size
+    d and identity operands too, runs the direct block-Toeplitz mode
+    convolution of `_compose`: A o 1 and 1 o A have the single term k = 0
+    of weight 1, so for finite coefficients they equal A.band(lo=lo) bit
+    for bit.
     """
     global _compose_calls
     A._compatible(B)
     _compose_calls += 1
-    if _is_plain_identity(A):
-        return B.band(lo=lo)
-    if _is_plain_identity(B):
-        return A.band(lo=lo)
     return _compose(A, B, lo=lo)
 
 
@@ -579,7 +574,9 @@ def invert(A: Symbol) -> Symbol:
 
     Writes A = a_0 (1 + R), R = a_0^{-1} A_- of orders <= -1, and sums the
     Neumann series of (-R)^k, each term -R times the one before, up to the
-    first term that falls wholly below the floor (at most -floor terms).
+    first term that falls wholly below the floor (at most -floor terms), and
+    multiplies the sum by a_0^{-1}.  A constant A has R = 0, so the sum is 1
+    and the result is a_0^{-1} exactly.
     """
     params = A.params
     pos = A.band(lo=1).orders()
@@ -589,10 +586,7 @@ def invert(A: Symbol) -> Symbol:
     if a0.is_zero():
         raise ValueError("invert expects a nonzero order-0 coefficient")
     B0 = _constant_inverse(a0)
-    A_neg = A.s_part()
-    if A_neg.is_zero():
-        return B0
-    minus_R = -compose(B0, A_neg)
+    minus_R = -compose(B0, A.s_part())
     inv = term = Symbol.identity(params)
     for _ in range(-params.floor):
         term = compose(minus_R, term)

@@ -58,6 +58,15 @@ def full_report(command: str, cfg: RunConfig) -> Report:
     return Report(command, cfg, select(COMMANDS[command](cfg)))
 
 
+def strict_json(text: str):
+    """json.loads refusing the NaN and Infinity tokens, which JSON lacks."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_config_defaults_valid():
     RunConfig().validate()
 
@@ -128,13 +137,23 @@ def test_config_rejects_bad_shapes():
         {"u_table": [{"1": ["0.5", 0.0]}, {}]},
         {"cube_k": 10**400},  # an integer beyond every float
         {"s0": [[-1, {"1": [10**400, 0.0]}]]},
+        {"flow_t_end": 1e308},  # flow also runs to 2 * flow_t_end, which is inf
+        # two keys that name one mode
+        {"s0": [[-1, {"1": [0.5, 0], "01": [0.3, 0], "-1": [0.5, 0]}]]},
+        {"u_table": [{"2": [1.0, 0.0], "+2": [1.0, 0.0]}, {}]},
+        # a key given twice, which json.dumps cannot write: the file's text
+        pytest.param('{"M": 16, "Mr": 8, "M": 8}', id="duplicate-key"),
+        pytest.param('{"s0": [[-1, {"1": [0.5, 0.0], "1": [0.3, 0.0]}]]}', id="duplicate-mode-key"),
     ],
 )
 def test_config_rejected_before_running(tmp_path, raw):
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(raw)
+    if not isinstance(raw, str):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(raw)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
+    cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    with pytest.raises(ConfigError):
+        RunConfig.from_file(str(cfg_path))
     assert main(["paper-table", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
 
@@ -452,6 +471,33 @@ def test_flow_blowup_reason_reported(tmp_path, capsys):
     rep = Report("flow", tiny_config(), [Record("flow/commute-12", "flow", 3.388e-15, 1e-6, True)])
     assert set(json.loads(rep.to_json())["records"][0]) == {"name", "anchor", "value", "tol", "pass", "config_hash"}
     assert rep.summary().splitlines()[0] == "[pass] flow/commute-12: 3.388e-15 (tol 1.0e-06)"
+
+
+def test_flow_commute_blowup_reported(tmp_path, capsys):
+    # at TINY with flow_t_end = 1 the t2 flow blows up: the record reads inf
+    # and fails, and its message and the summary line say why
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(dict(TINY, flow_t_end=1.0)))
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path), "--only", "flow/commute"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    (record,) = strict_json((tmp_path / "flow_report.json").read_text())["records"]
+    why = "coefficient sup-norm exceeded 1.0e+06 at t=0.5312"
+    assert (record["value"], record["pass"], record["message"]) == ("Infinity", False, why)
+    assert line == f"[FAIL] flow/commute-12: inf (tol 1.0e-06) - {why}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_report_is_json_with_non_finite_values(tmp_path):
+    # at cube_k = 1e300 the Yang-Mills values overflow to NaN and inf, which
+    # the report writes as strings
+    path = tmp_path / "huge_cube.json"
+    path.write_text(json.dumps(dict(TINY, cube_k=1e300)))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path), "--only", "ym"]) == 1
+    report = strict_json((tmp_path / "check_report.json").read_text())
+    assert [r["value"] for r in report["records"]] == ["NaN", "Infinity"]
+    records = [Record("x", "flow", -np.inf, np.nan, False), Record("y", "flow", 0.5, 1.0, True)]
+    rep = Report("flow", tiny_config(), records)
+    assert [(r["value"], r["tol"]) for r in strict_json(rep.to_json())["records"]] == [("-Infinity", "NaN"), (0.5, 1.0)]
 
 
 def test_check_yang_mills_record_is_worst_perturbation():

@@ -65,6 +65,17 @@ def test_compose_identity():
     A = mk({1: LoopFn.const(1, M, 1.0), -1: LoopFn.sin(M, 2)})
     assert (compose(A, Symbol.identity(P)) - A).norm(floor=P.floor) == 0.0
     assert (compose(Symbol.identity(P), A) - A).norm(floor=P.floor) == 0.0
+    # identity products run the kernel like any other: its single Leibniz
+    # term k = 0 has weight 1, so A o 1 and 1 o A are A on each output floor,
+    # bit for bit, in double, in extended precision and for d = 2
+    for p in (P, P.with_wide(True), PM):
+        rng = np.random.default_rng(11)
+        A = Symbol.from_terms(p, {n: LoopFn.random_trig(rng, p.M, p.M, d=p.d) for n in (2, 0, -1, p.F, p.floor)})
+        one = Symbol.identity(p)
+        for lo in (None, p.F, 0):
+            want = A.band(lo=lo)
+            for got in (compose(A, one, lo), compose(one, A, lo)):
+                assert got.lo == want.lo and np.array_equal(got.c, want.c)
 
 
 def test_symbol_table_canonical():
@@ -533,6 +544,19 @@ def test_invert_non_unit_constant_wide(wide, tol):
     p = TruncParams(M=16, F=-6, g=4, wide=wide)
     A = Symbol.from_terms(p, {0: LoopFn.const(1, 16, 3.0), -1: LoopFn.cos(16)})
     assert (compose(A, invert(A)) - Symbol.identity(p)).norm() <= tol
+
+
+@pytest.mark.parametrize("p, a0, inverse", [
+    (P, 4.0, 0.25),
+    (P.with_wide(True), -0.5, -2.0),
+    (PM, [[2.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [-1.0, 2.0]]),
+], ids=["narrow", "wide", "d2"])
+def test_invert_constant_is_exact(p, a0, inverse):
+    # a constant, the identity too, has no Neumann terms: the sum is 1, and
+    # 1 o a_0^-1 through the kernel leaves the inverse exact
+    for A, want in ((Symbol.xi(p, 0, a0), Symbol.xi(p, 0, inverse)), (Symbol.identity(p), Symbol.identity(p))):
+        got = invert(A)
+        assert got.lo == want.lo and np.array_equal(got.c, want.c)
 
 
 @pytest.mark.parametrize("p", [P, P.with_wide(True), PM], ids=["narrow", "wide", "d2"])
