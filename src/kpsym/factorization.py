@@ -13,6 +13,12 @@ over the valuation (`conj_t`), with no inverse of S.  The jet forms the
 second route, the same sweep with Y in place of S, on first read, so the
 agreement of the two routes stays an independent check; it also keeps the
 powers of L that the checks read.
+
+The solver's last two stages run on the output floors of their readers.
+L is formed on the orders >= F - K - 1, the lowest its readers take, and
+S_v on the orders >= F - K - 1 - (V - val v), the ones the later levels
+and the sweep read (one lower for matrices).  There both hold the bits of
+the solve run at the working floor; U and Y keep every order.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ __all__ = [
 class KPJet:
     """A solved hierarchy instance: dressing datum, base operator, flow
     exponential, factorization pair, and the evolved operator L = S L0 S^{-1}.
+
+    U and Y hold every order down to the working floor.  L holds L0 whole
+    and its other terms on the orders >= F - K - 1 (`_l_floor`); S holds
+    S_v on the orders >= F - K - 1 - (V - val v), or one lower for
+    matrices (`mulase_factorize`).  On those orders both equal the solve
+    run at the working floor, bit for bit.
 
     What the checks derive from L0, Y and L is formed on first read and kept
     on the frozen jet, so it can never outlive the fields it came from.  The
@@ -76,6 +88,15 @@ class KPJet:
         return list(tpowers(self.L, params.K, lo=params.F - params.K))
 
 
+def _l_floor(params: TruncParams) -> int:
+    """F - K - 1: the lowest order of L that the jet's readers take.
+    `KPJet.powers` keeps L^n on the orders >= F - K + n - 2, the product
+    of L^{n-1}, of order <= n - 1, with L, so it reads L on the orders
+    >= F - K - 1; the Lax brackets read L on the orders >= F - K, and the
+    other checks on the orders >= F or on orders -1 and -2."""
+    return params.F - params.K - 1
+
+
 def build_U(L0: Symbol, params: TruncParams) -> TSeries:
     """exp(sum_n h^n t_n L0^n) for n = 1..K, with h = params.h.
 
@@ -96,8 +117,16 @@ def build_U(L0: Symbol, params: TruncParams) -> TSeries:
     return texp(TSeries(params, gen))
 
 
-def mulase_factorize(U: TSeries) -> tuple:
-    """Unique pair (S, Y) with S o U = Y, S = 1 + (orders <= -1), Y differential.
+def mulase_factorize(U: TSeries, lo: int | None = None) -> tuple:
+    """Unique pair (S, Y) with S o U = Y, S = 1 + (orders <= -1), Y differential,
+    with S on the orders >= lo (None, or any order below the working floor,
+    means the working floor).
+
+    S_v is read by the levels above it, each through a product with U_g,
+    which has order <= val g.  So level v is formed on the orders
+    >= lo - (V - val v), no lower than the working floor: S keeps the
+    full recursion's values on the orders >= lo, bit for bit, and Y, which
+    has orders >= 0, keeps them everywhere.
 
     Raises ValueError if the constant term of U is off 1 by more than 1e-9
     or is NaN, and AssertionError if a level produces a differential part
@@ -108,16 +137,18 @@ def mulase_factorize(U: TSeries) -> tuple:
     U0 = U.term(zero)
     if not (U0 - Symbol.identity(params)).norm(floor=params.floor) <= 1e-9:  # a NaN fails this test too
         raise ValueError("factorization expects a unit with constant term 1")
+    lo = params.floor if lo is None else lo
 
     S, Y = {}, {zero: Symbol.identity(params)}  # S: the terms of val >= 1, in graded order
     for mono in sorted(U.terms, key=TMono.key):
         if mono == zero:
             continue
-        W = U.terms[mono]
+        floor = max(lo - (params.V - mono.val), params.floor)
+        W = U.terms[mono].band(lo=floor)
         for beta, Sb in S.items():
             gamma = mono.quotient(beta)
             if gamma in U.terms:
-                W = W + compose(Sb, U.terms[gamma])
+                W = W + compose(Sb, U.terms[gamma], lo=floor)
         Yv = W.d_part()
         top = Yv.order
         if top is not None and top > mono.val:
@@ -137,7 +168,8 @@ def kp_solve(S0: Symbol, params: TruncParams) -> KPJet:
     h-rescaled jet.
 
     The base operator is L0 = S0 o (h.xi) o S0^{-1}; the evolved operator
-    is L = S L0 S^{-1}.  The jet forms Y L0 Y^{-1} only when a check reads it,
+    is L = S L0 S^{-1}, and S and L are formed only as low as their readers
+    take (see `KPJet`).  The jet forms Y L0 Y^{-1} only when a check reads it,
     so the agreement of the two routes stays a checkable statement, not a
     definition.  A dressing with positive orders, or whose order-0 band is
     off 1 by more than 1e-12 or NaN, raises ValueError.
@@ -148,8 +180,11 @@ def kp_solve(S0: Symbol, params: TruncParams) -> KPJet:
         raise ValueError("dressing must be of the form 1 + (orders <= -1)")
     L0 = conj_from(S0, params)
     U = build_U(L0, params)
-    S, Y = mulase_factorize(U)
-    return KPJet(S0=S0, L0=L0, U=U, S=S, Y=Y, L=conj_t(S, L0))
+    lo = _l_floor(params)
+    # for matrices the bracket [S_v, L0] of `conj_t` keeps its k = 0 terms,
+    # which read S_v one order below the bracket's floor
+    S, Y = mulase_factorize(U, lo if params.d == 1 else lo - 1)
+    return KPJet(S0=S0, L0=L0, U=U, S=S, Y=Y, L=conj_t(S, L0, lo))
 
 
 def conj_from(S0: Symbol, params: TruncParams) -> Symbol:

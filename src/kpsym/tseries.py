@@ -333,7 +333,10 @@ def product_integral(v, n: int) -> TSeries:
 
     Returns u_n(1) = prod_{i=1}^{n} (1 + (1/n) v((n-i)/n)) with later times on
     the left; for a constant path this is (1 + v/n)^n truncated, converging to
-    texp(v) at rate O(1/n).
+    texp(v) at rate O(1/n).  Each factor is applied as out + (v/n) out, so
+    the identity is never composed with a term.  Where v has one monomial
+    this is the Cauchy product (1 + v/n) out bit for bit; with several, each
+    coefficient's sum runs in another order.
     """
     if n <= 0:
         raise ValueError("need at least one subdivision step")
@@ -342,6 +345,6 @@ def product_integral(v, n: int) -> TSeries:
         X = v(ell / n)
         if TMono.zero(X.params.K) in X.terms:
             raise ValueError(f"path has valuation-0 content at s={ell / n}")
-        one = TSeries.one(X.params)
-        out = tmul(one + X.scale(1.0 / n), one if out is None else out)
+        step = X.scale(1.0 / n)
+        out = TSeries.one(X.params) + step if out is None else out + tmul(step, out)
     return out

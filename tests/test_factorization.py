@@ -35,7 +35,7 @@ from kpsym import criteria
 from kpsym.symbol import clear_plans, plan_stats
 from kpsym.tseries import tpowers
 
-from test_symbol import FLOORED
+from test_symbol import FLOORED, same_band, same_bits
 from test_tseries import neumann_inverse
 
 
@@ -231,6 +231,60 @@ def test_su_minus_y_record_equals_the_full_product(kind):
         record = {r.name: r for r in criteria.factorization(j)}["factorize/su-equals-y"]
         assert record.value.hex() == (tmul(j.S, j.U) - j.Y).norm().hex()
     assert record.value > 0
+
+
+def _mulase_loop(U):
+    """The recursion written out on the working floor."""
+    p = U.params
+    zero = TMono.zero(p.K)
+    S, Y = {}, {zero: Symbol.identity(p)}
+    for mono in sorted(U.terms, key=TMono.key):
+        if mono == zero:
+            continue
+        W = U.terms[mono]
+        for beta, Sb in S.items():
+            gamma = mono.quotient(beta)
+            if gamma in U.terms:
+                W = W + compose(Sb, U.terms[gamma])
+        if not W.s_part().is_zero():
+            S[mono] = -W.s_part()
+        Y[mono] = W.d_part()
+    return TSeries(p, {zero: Symbol.identity(p), **S}), TSeries(p, Y)
+
+
+@pytest.mark.parametrize("kind", FLOORED)
+def test_solve_floors_keep_the_full_floor_bits(kind):
+    # kp_solve forms L on the orders >= F - K - 1 and S_v on the orders
+    # >= F - K - 1 - (V - val v) (one lower for matrices, whose bracket
+    # [S_v, L0] keeps its k = 0 terms); there they hold the bits of the
+    # solve run at the working floor, and every record reads the same
+    p = FLOORED[kind]
+    rng = np.random.default_rng(5)
+    S0 = dressing(p, {-1: LoopFn.random_trig(rng, p.M, 2, amp=0.3, d=p.d), -2: LoopFn.sin(p.M, 2, 0.3, d=p.d)})
+    jet = kp_solve(S0, p)
+    S_full, Y_full = mulase_factorize(jet.U)
+    L_full = conj_t(S_full, jet.L0)
+    for got, want in zip((S_full, Y_full), _mulase_loop(jet.U), strict=True):
+        assert got.terms.keys() == want.terms.keys()
+        assert all(same_bits(got.terms[m], want.terms[m]) for m in want.terms)
+    assert jet.Y.terms.keys() == Y_full.terms.keys()
+    assert all(same_bits(jet.Y.terms[m], Y_full.terms[m]) for m in Y_full.terms)
+    lo = p.F - p.K - 1
+    lo_S = lo if p.d == 1 else lo - 1
+    floors = (
+        (jet.S, S_full, lambda v: max(lo_S - (p.V - v), p.floor)),
+        (jet.L, L_full, lambda v: lo),
+    )
+    for got, full, floor_of in floors:
+        assert got.terms.keys() <= full.terms.keys()
+        for m, sym in full.terms.items():
+            floor = floor_of(m.val) if m.val else p.floor
+            assert same_band(got.term(m), sym, floor) and got.term(m).band(hi=floor - 1).is_zero()
+        # the floors cut: the full forms hold orders below them
+        assert any(sym.lo < floor_of(m.val) for m, sym in full.terms.items() if m.val)
+    full = replace(jet, S=S_full, L=L_full)
+    for check in (criteria.lax, criteria.zero_curvature, criteria.kp2, criteria.scaling, criteria.factorization):
+        assert [(r.name, float(r.value).hex()) for r in check(jet)] == [(r.name, float(r.value).hex()) for r in check(full)]
 
 
 def test_kp_solve_rejects_bad_dressing(small_params):

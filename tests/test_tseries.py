@@ -460,6 +460,28 @@ def test_product_integral_constant_rate():
     assert errs[1] / errs[2] > 1.8
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+def test_product_integral_is_the_cauchy_product_of_its_factors(wide):
+    # each factor is applied as out + (v/n) out; for a v of one monomial
+    # every coefficient sums the same products in the same order as the
+    # Cauchy product (1 + v/n) out, so the bits agree; with two monomials
+    # only the order of the sums differs
+    p, n = P.with_wide(wide), 8
+    one = TSeries.one(p)
+    sym = Symbol.from_terms(p, {-1: LoopFn.cos(M), 0: LoopFn.const(1, M, 0.3)})
+    for monos, exact in ((((1, 0, 0),), True), (((1, 0, 0), (0, 1, 0)), False)):
+        X = TSeries(p, {m: sym for m in monos})
+        want = one
+        for _ in range(n):
+            want = tmul(one + X.scale(1.0 / n), want)
+        got = product_integral(lambda s: X, n)
+        assert got.terms.keys() == want.terms.keys()
+        if exact:
+            assert all(same_bits(got.terms[m], want.terms[m]) for m in want.terms)
+        else:
+            assert (got - want).norm() <= 1e-14 * want.norm()
+
+
 def test_product_integral_val1_riemann_oracle():
     # the val-1 layer equals the left-rule quadrature of the path's val-1 part
     base = Symbol.from_terms(P, {-1: LoopFn.sin(M)})
